@@ -15,9 +15,9 @@
 // the paper predicts — and the verdict table shows — the EBR shard's
 // backlog growing without bound while the HP shard's stays flat.
 //
-// The audit is written as a machine-readable artifact (BENCH_chaos.json
-// by default; -json "" disables), verdict series included, so runs form
-// a trajectory tooling can diff and plot.
+// The audit is written as the shared artifact envelope (BENCH_chaos.json
+// by default; -json "" disables): configuration, verdict rows with their
+// evidence series, and the verdicts_consistent gate -strict exits on.
 package main
 
 import (
@@ -97,11 +97,9 @@ func main() {
 	}
 	var jsonFile *os.File
 	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
+		if jsonFile, err = os.Create(*jsonPath); err != nil {
 			fail(err)
 		}
-		jsonFile = f
 	}
 
 	fmt.Printf("erachaos: %d shards (%s) × %s, faults %v, %s window, workload %s/%s\n",
@@ -109,7 +107,7 @@ func main() {
 	if *obsAddr != "" {
 		fmt.Printf("erachaos: observability plane will serve on %s (/metrics, /timeline, /debug/pprof/)\n", *obsAddr)
 	}
-	res, err := bench.RunChaos(bench.ChaosConfig{
+	cfg := bench.ChaosConfig{
 		Schemes:         schemeList,
 		Structure:       *dsName,
 		WorkersPerShard: *workers,
@@ -123,7 +121,8 @@ func main() {
 		Schedule:        *mix,
 		Seed:            *seed,
 		ObsAddr:         *obsAddr,
-	})
+	}
+	res, err := bench.RunChaos(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "erachaos: %v\n", err)
 		os.Exit(1)
@@ -132,8 +131,9 @@ func main() {
 	if res.ObsURL != "" {
 		fmt.Printf("observability plane served at %s\n", res.ObsURL)
 	}
+	gates := res.Gates()
 	if jsonFile != nil {
-		err := bench.WriteChaosReport(jsonFile, res)
+		err := bench.WriteArtifact(jsonFile, "chaos", cfg, res, gates)
 		if cerr := jsonFile.Close(); err == nil {
 			err = cerr
 		}
@@ -143,10 +143,8 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *jsonPath)
 	}
-	if *strict {
-		if err := bench.CheckChaos(res); err != nil {
-			fmt.Fprintf(os.Stderr, "erachaos: %v\n", err)
-			os.Exit(1)
-		}
+	if *strict && !gates["verdicts_consistent"] {
+		fmt.Fprintln(os.Stderr, "erachaos: a scheme's audited verdict violated its declared robustness class")
+		os.Exit(1)
 	}
 }

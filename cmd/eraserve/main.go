@@ -27,8 +27,8 @@
 // the service table and, with -obs, on /metrics as era_resil_*. -obs
 // serves the observability plane for the duration of the run: Prometheus
 // text on /metrics, the flight-recorder event stream on /timeline, and
-// live profiling under /debug/pprof/. The measurement is written as a
-// machine-readable artifact (BENCH_service.json by default; -json ""
+// live profiling under /debug/pprof/. The measurement is written as the
+// shared artifact envelope (BENCH_service.json by default; -json ""
 // disables).
 package main
 
@@ -136,11 +136,9 @@ func main() {
 	}
 	var jsonFile *os.File
 	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
+		if jsonFile, err = os.Create(*jsonPath); err != nil {
 			fail(err)
 		}
-		jsonFile = f
 	}
 
 	cfg := bench.ServiceConfig{
@@ -195,7 +193,7 @@ func main() {
 		fmt.Printf("observability plane served at %s\n", res.ObsURL)
 	}
 	if jsonFile != nil {
-		err := bench.WriteServiceReport(jsonFile, res)
+		err := bench.WriteArtifact(jsonFile, "service", cfg, res, nil)
 		if cerr := jsonFile.Close(); err == nil {
 			err = cerr
 		}

@@ -51,7 +51,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := bench.WriteJSONReport(f, "workloads", rows); err != nil {
+		if err := bench.WriteArtifact(f, "workloads", nil, rows, nil); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {

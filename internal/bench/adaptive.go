@@ -92,16 +92,7 @@ func (cfg *AdaptiveConfig) fill() {
 		cfg.Faults = []string{"delayed-release"}
 	}
 	if cfg.WorkersPerShard <= 0 {
-		parks := 0
-		for _, f := range cfg.Faults {
-			if chaos.ParksWorker(f) {
-				parks++
-			}
-		}
-		cfg.WorkersPerShard = parks + 1
-		if cfg.WorkersPerShard < 2 {
-			cfg.WorkersPerShard = 2
-		}
+		cfg.WorkersPerShard = survivorWorkers(cfg.Faults)
 	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 4
@@ -128,13 +119,7 @@ func (cfg *AdaptiveConfig) fill() {
 		cfg.SampleInterval = sampleEvery(cfg.Duration)
 	}
 	if cfg.DecideInterval <= 0 {
-		cfg.DecideInterval = cfg.Duration / 32
-		if cfg.DecideInterval < 5*time.Millisecond {
-			cfg.DecideInterval = 5 * time.Millisecond
-		}
-		if cfg.DecideInterval > 25*time.Millisecond {
-			cfg.DecideInterval = 25 * time.Millisecond
-		}
+		cfg.DecideInterval = clamp(cfg.Duration/32, 5*time.Millisecond, 25*time.Millisecond)
 	}
 	if cfg.Hysteresis <= 0 {
 		cfg.Hysteresis = 2
@@ -184,33 +169,20 @@ type AdaptiveArm struct {
 	Series []telemetry.Point `json:"series,omitempty"`
 }
 
-// AdaptiveAggregate echoes the shared configuration both arms ran under.
-type AdaptiveAggregate struct {
-	Ladder      []string      `json:"ladder"`
-	StartScheme string        `json:"start_scheme"`
-	Structure   string        `json:"structure"`
-	Faults      []string      `json:"faults"`
-	Workers     int           `json:"workers_per_shard"`
-	Clients     int           `json:"clients"`
-	Batch       int           `json:"batch"`
-	KeyRange    int           `json:"key_range"`
-	Duration    time.Duration `json:"duration_ns"`
-	FaultAfter  time.Duration `json:"fault_after_ns"`
-	Mix         Mix           `json:"mix"`
-	Workload    string        `json:"workload"`
-	Schedule    string        `json:"schedule"`
-	Seed        uint64        `json:"seed"`
-}
-
 // AdaptiveResult is the experiment outcome: the static control, the
 // adaptive arm, and the headline comparison.
 type AdaptiveResult struct {
-	Static   AdaptiveArm       `json:"static"`
-	Adaptive AdaptiveArm       `json:"adaptive"`
-	Agg      AdaptiveAggregate `json:"aggregate"`
+	Static   AdaptiveArm `json:"static"`
+	Adaptive AdaptiveArm `json:"adaptive"`
 	// Improved reports the headline: the adaptive arm's final audited
 	// class is strictly better than the static control's.
 	Improved bool `json:"improved"`
+}
+
+// Gates returns EXP-ADAPT's acceptance gate: the adaptive arm's final
+// audited class beat the static control's.
+func (r AdaptiveResult) Gates() map[string]bool {
+	return map[string]bool{"improved": r.Improved}
 }
 
 // runAdaptiveArm runs one fleet: a single gated shard on StartScheme,
@@ -269,9 +241,10 @@ func runAdaptiveArm(cfg AdaptiveConfig, adaptive bool) (arm AdaptiveArm, class s
 		return arm, 0, false, err
 	}
 	budget := telemetry.Budget{Threads: cfg.WorkersPerShard, Threshold: cfg.Threshold}
-	mon := telemetry.NewMonitor(telemetry.MonitorConfig{}, []telemetry.Domain{
-		{Scheme: cfg.StartScheme, Declared: startProps.Robustness, Budget: budget},
-	})
+	mon, err := verdictMonitor(st, nil)
+	if err != nil {
+		return arm, 0, false, err
+	}
 	sampler := telemetry.NewSampler(
 		telemetry.Config{Interval: cfg.SampleInterval, Capacity: 4096, OnSample: mon.Observe},
 		storeProbe(st))
@@ -321,7 +294,7 @@ func runAdaptiveArm(cfg AdaptiveConfig, adaptive bool) (arm AdaptiveArm, class s
 		finalVerdict = mon.Verdict(0)
 		engine.Stop()
 	}()
-	ops, opErrs, lat, err := runTimedClients(st, src, cfg.Clients, cfg.Batch, deadline, nil)
+	t, err := storeClients{st: st, src: src, clients: cfg.Clients, batch: cfg.Batch, deadline: deadline}.run()
 	<-healed
 	sampler.Stop()
 	if err != nil {
@@ -354,12 +327,12 @@ func runAdaptiveArm(cfg AdaptiveConfig, adaptive bool) (arm AdaptiveArm, class s
 	arm.FinalAudited = finalVerdict.Audited
 	arm.FinalGrowth = finalFit.GrowthName
 	arm.FinalFit = finalFit
-	arm.Ops = ops
-	arm.OpErrs = opErrs
+	arm.Ops = t.ops
+	arm.OpErrs = t.errs
 	arm.OOMs = stats.Shards[0].OOMs
 	arm.PeakRetired = stats.Shards[0].MaxRetired
-	arm.P50 = lat.Percentile(0.50)
-	arm.P99 = lat.Percentile(0.99)
+	arm.P50 = t.lat.Percentile(0.50)
+	arm.P99 = t.lat.Percentile(0.99)
 	arm.Events = events
 	arm.Series = series
 	arm.Migrations = []adapt.Episode{}
@@ -409,22 +382,6 @@ func RunAdaptive(cfg AdaptiveConfig) (AdaptiveResult, error) {
 	return AdaptiveResult{
 		Static:   static,
 		Adaptive: adaptiveArm,
-		Agg: AdaptiveAggregate{
-			Ladder:      cfg.Ladder,
-			StartScheme: cfg.StartScheme,
-			Structure:   cfg.Structure,
-			Faults:      cfg.Faults,
-			Workers:     cfg.WorkersPerShard,
-			Clients:     cfg.Clients,
-			Batch:       cfg.Batch,
-			KeyRange:    cfg.KeyRange,
-			Duration:    cfg.Duration,
-			FaultAfter:  cfg.FaultAfter,
-			Mix:         cfg.Mix,
-			Workload:    cfg.Workload,
-			Schedule:    cfg.Schedule,
-			Seed:        cfg.Seed,
-		},
 		// The headline needs real evidence on both sides: a window too
 		// thin to classify (migration just before the deadline, stalled
 		// progress) must not default its way into an improvement claim.

@@ -24,7 +24,8 @@ func TestRunAdaptiveEscapesTheStorm(t *testing.T) {
 		// fit inside the budget.
 		dur = 2800 * time.Millisecond
 	}
-	res, err := RunAdaptive(AdaptiveConfig{Duration: dur, Seed: 42})
+	cfg := AdaptiveConfig{Duration: dur, Seed: 42}
+	res, err := RunAdaptive(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,20 +81,21 @@ func TestRunAdaptiveEscapesTheStorm(t *testing.T) {
 
 	// The artifact round-trips with the episode log intact.
 	var buf bytes.Buffer
-	if err := WriteAdaptiveReport(&buf, res); err != nil {
+	if err := WriteArtifact(&buf, "adaptive", nil, res, res.Gates()); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReadAdaptiveReport(&buf)
+	var back AdaptiveResult
+	rep, err := ReadArtifact(&buf, nil, &back)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Experiment != "adaptive" || !rep.Improved || len(rep.Adaptive.Migrations) != len(ad.Migrations) {
-		t.Fatalf("artifact round-trip mangled: %+v", rep.Aggregate)
+	if rep.Experiment != "adaptive" || !rep.Gates["improved"] || len(back.Adaptive.Migrations) != len(ad.Migrations) {
+		t.Fatalf("artifact round-trip mangled: %+v", back)
 	}
 
 	// And the table renders both arms and the migration.
 	var tbl strings.Builder
-	WriteAdaptiveTable(&tbl, res)
+	WriteAdaptiveTable(&tbl, cfg, res)
 	for _, want := range []string{"static", "adaptive", "ebr", "migration: shard 0", "improved on static: true"} {
 		if !strings.Contains(tbl.String(), want) {
 			t.Errorf("table missing %q:\n%s", want, tbl.String())

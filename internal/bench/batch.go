@@ -17,16 +17,17 @@
 // headline is allocs per DoInto call — the acceptance bar is zero.
 //
 // Section 3 (backlog) is the robustness guard: for each scheme, a
-// two-worker shard has one worker parked at a traversal breakpoint for a
-// fixed window while the other serves fused (resp. per-op) traffic. The
-// fused window's K-op bracket cadence must keep the peak retired backlog
-// within 2x of the per-op arm's — amortization must not buy throughput
-// by silently widening the reclamation pin.
+// two-worker shard has one worker parked at a traversal breakpoint while
+// the other serves a fixed operation budget of fused (resp. per-op)
+// traffic. Fixed work, not a fixed window: both arms retire the same
+// node volume, so any widening of the peak is the bracket cadence's
+// doing. The fused window's K-op cadence must keep the peak retired
+// backlog within 2x of the per-op arm's — amortization must not buy
+// throughput by silently widening the reclamation pin.
 
 package bench
 
 import (
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -57,9 +58,9 @@ type BatchConfig struct {
 	// AllocRounds is the measured DoInto call count in the allocation
 	// section; 0 selects 2000.
 	AllocRounds int
-	// StallDuration is the parked-worker window per backlog arm; 0
-	// selects 250ms.
-	StallDuration time.Duration
+	// BacklogOps is each parked-worker arm's operation budget, split
+	// over two clients; 0 selects 12800.
+	BacklogOps int
 	// Seed makes the client streams deterministic.
 	Seed uint64
 }
@@ -86,8 +87,8 @@ func (cfg *BatchConfig) fill() {
 	if cfg.AllocRounds <= 0 {
 		cfg.AllocRounds = 2000
 	}
-	if cfg.StallDuration <= 0 {
-		cfg.StallDuration = 250 * time.Millisecond
+	if cfg.BacklogOps <= 0 {
+		cfg.BacklogOps = 12800
 	}
 }
 
@@ -159,13 +160,6 @@ const backlogFloor = 64
 
 // BatchResult is the full EXP-BATCH measurement.
 type BatchResult struct {
-	Workers       int           `json:"workers"`
-	Clients       int           `json:"clients"`
-	Duration      time.Duration `json:"duration_ns"`
-	KeyRange      int           `json:"key_range"`
-	StallDuration time.Duration `json:"stall_duration_ns"`
-	Seed          uint64        `json:"seed"`
-
 	Pairs   []BatchPair        `json:"pairs"`
 	Allocs  BatchAllocs        `json:"allocs"`
 	Backlog []BatchBacklogPair `json:"backlog"`
@@ -180,6 +174,17 @@ type BatchResult struct {
 	// BacklogBounded reports every scheme's parked-worker pair held the
 	// 2x bound.
 	BacklogBounded bool `json:"backlog_bounded"`
+}
+
+// Gates returns EXP-BATCH's acceptance gates: the fused path beats the
+// per-op baseline 1.15x, the steady-state spine does not allocate, and
+// amortization does not widen the parked-worker backlog past 2x.
+func (r BatchResult) Gates() map[string]bool {
+	return map[string]bool{
+		"fused_beats_serial": r.FusedBeatsSerial,
+		"zero_alloc":         r.ZeroAlloc,
+		"backlog_bounded":    r.BacklogBounded,
+	}
 }
 
 // runBatchArm runs one throughput arm: a single Michael-list shard over
@@ -215,7 +220,7 @@ func runBatchArm(cfg BatchConfig, scheme string, batch int, nofuse bool) (BatchA
 		return BatchArm{}, err
 	}
 	start := time.Now()
-	ops, _, lat, err := runTimedClients(st, src, cfg.Clients, batch, start.Add(cfg.Duration), nil)
+	t, err := storeClients{st: st, src: src, clients: cfg.Clients, batch: batch, deadline: start.Add(cfg.Duration)}.run()
 	if err != nil {
 		return BatchArm{}, err
 	}
@@ -226,10 +231,10 @@ func runBatchArm(cfg BatchConfig, scheme string, batch int, nofuse bool) (BatchA
 	s := st.Stats()
 	return BatchArm{
 		Mode:         mode,
-		Ops:          ops,
-		MopsPerSec:   float64(ops) / elapsed.Seconds() / 1e6,
-		P50:          lat.Percentile(0.50),
-		P99:          lat.Percentile(0.99),
+		Ops:          t.ops,
+		MopsPerSec:   float64(t.ops) / elapsed.Seconds() / 1e6,
+		P50:          t.lat.Percentile(0.50),
+		P99:          t.lat.Percentile(0.99),
 		FusedBatches: s.FusedBatches,
 		FusedOps:     s.FusedOps,
 		Rebrackets:   s.Rebrackets,
@@ -293,11 +298,11 @@ func runBatchAllocs(cfg BatchConfig) (BatchAllocs, error) {
 	}, nil
 }
 
-// runBatchBacklog runs one parked-worker arm: a two-worker gated shard,
-// worker 0 parked at the traversal head breakpoint for the whole window,
-// the surviving worker serving batched traffic. The stall releases at
-// the deadline so the client blocked on the parked worker's request can
-// drain and the shard closes clean.
+// runBatchBacklog runs one parked-worker arm: a two-worker gated shard
+// with worker 0 parked at the traversal head breakpoint by a sacrificial
+// request, then a fixed operation budget served through the surviving
+// worker by two clients, then the worker released so the shard closes
+// clean.
 func runBatchBacklog(cfg BatchConfig, scheme string, nofuse bool) (BatchBacklogArm, error) {
 	mode := "fused"
 	if nofuse {
@@ -334,11 +339,37 @@ func runBatchBacklog(cfg BatchConfig, scheme string, nofuse bool) (BatchBacklogA
 	if err := prefillHalf(st, cfg.KeyRange, batch, cfg.Seed); err != nil {
 		return BatchBacklogArm{}, err
 	}
+	// The sacrificial client churns single-op requests until one lands on
+	// worker 0 and parks there; it stays blocked in Contains until the
+	// stall releases.
 	stall := bp.Arm(0, ds.PointSearchHead, nil, 0)
-	timer := time.AfterFunc(cfg.StallDuration, stall.Release)
-	defer timer.Stop()
-	ops, _, _, err := runTimedClients(st, src, 2, batch, time.Now().Add(cfg.StallDuration), nil)
-	stall.Release() // idempotent: frees the worker if the timer lost a race
+	stop := make(chan struct{})
+	parked := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				parked <- nil
+				return
+			default:
+			}
+			if _, err := st.Contains(1); err != nil {
+				parked <- err
+				return
+			}
+		}
+	}()
+	select {
+	case <-stall.Reached():
+	case err := <-parked: // the store failed before worker 0 parked
+		return BatchBacklogArm{}, err
+	}
+	t, err := storeClients{st: st, src: src, clients: 2, batch: batch, ops: cfg.BacklogOps / 2}.run()
+	close(stop)
+	stall.Release()
+	if perr := <-parked; err == nil {
+		err = perr
+	}
 	if err != nil {
 		return BatchBacklogArm{}, err
 	}
@@ -347,7 +378,7 @@ func runBatchBacklog(cfg BatchConfig, scheme string, nofuse bool) (BatchBacklogA
 	}
 	return BatchBacklogArm{
 		Mode:        mode,
-		Ops:         ops,
+		Ops:         t.ops,
 		PeakRetired: st.Stats().MaxRetired,
 	}, nil
 }
@@ -356,14 +387,7 @@ func runBatchBacklog(cfg BatchConfig, scheme string, nofuse bool) (BatchBacklogA
 // each pair reads fused-first in the artifact.
 func RunBatch(cfg BatchConfig) (BatchResult, error) {
 	cfg.fill()
-	res := BatchResult{
-		Workers:       cfg.Workers,
-		Clients:       cfg.Clients,
-		Duration:      cfg.Duration,
-		KeyRange:      cfg.KeyRange,
-		StallDuration: cfg.StallDuration,
-		Seed:          cfg.Seed,
-	}
+	var res BatchResult
 	for _, scheme := range cfg.Schemes {
 		for _, batch := range cfg.Batches {
 			fused, err := runBatchArm(cfg, scheme, batch, false)
@@ -409,26 +433,4 @@ func RunBatch(cfg BatchConfig) (BatchResult, error) {
 	res.FusedBeatsSerial = res.BestRatio >= 1.15
 	res.ZeroAlloc = allocs.ZeroAlloc
 	return res, nil
-}
-
-// CheckBatch is the CI gate over a batch result: the fused path must
-// beat the per-op baseline, the steady-state spine must not allocate,
-// and amortization must not widen the parked-worker backlog past 2x.
-func CheckBatch(res BatchResult) error {
-	if !res.FusedBeatsSerial {
-		return fmt.Errorf("batch: best fused/per-op ratio %.3f below the 1.15x bar", res.BestRatio)
-	}
-	if !res.ZeroAlloc {
-		return fmt.Errorf("batch: steady-state DoInto allocated %.2f allocs/call (%.1f B/call); the spine must be zero-alloc",
-			res.Allocs.AllocsPerOp, res.Allocs.BytesPerOp)
-	}
-	if !res.BacklogBounded {
-		for _, p := range res.Backlog {
-			if !p.Bounded {
-				return fmt.Errorf("batch: %s fused peak retired backlog %d exceeds 2x per-op %d under a parked worker",
-					p.Scheme, p.Fused.PeakRetired, p.Serial.PeakRetired)
-			}
-		}
-	}
-	return nil
 }

@@ -1,5 +1,5 @@
 // Package bench implements the experiment harness behind every figure and
-// table in EXPERIMENTS.md, split into three layers:
+// table in EXPERIMENTS.md:
 //
 //   - internal/workload supplies the scenarios: key distributions and
 //     op-mix schedules selected by name, so a new workload is a registry
@@ -7,8 +7,16 @@
 //   - the engine (engine.go) assembles arena + scheme + structure, runs an
 //     untimed warmup and a timed measurement phase with per-thread op
 //     loops driven by a workload.Source, and samples operation latencies;
-//   - reporting (report.go) renders the rows as fixed-width tables for
-//     the terminal and as JSON benchmark artifacts for trajectories.
+//   - one client driver (drive.go) runs every store- and executor-level
+//     experiment's traffic — closed or paced open loop, bounded by an op
+//     budget, a deadline or a stop channel — plus the paired,
+//     alternating, best-of-rounds A/B every wall-clock gate uses;
+//   - the experiment registry (registry.go) names each experiment with
+//     its full and short configuration, gates and table, and one runner
+//     (harness.go) writes every result as the same BENCH_<name>.json
+//     envelope {experiment, host, config, rows, gates} and fails when a
+//     gate is false;
+//   - reporting (report.go) renders each experiment's terminal table.
 //
 // The paper itself is a theory paper with two proof illustrations and no
 // measurement section; the harness therefore regenerates (a) the paper's

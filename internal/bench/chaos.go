@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/hist"
 	"repro/internal/obs"
 	"repro/internal/obs/rec"
 	"repro/internal/sched"
@@ -80,6 +77,20 @@ type ChaosConfig struct {
 	ObsAddr string
 }
 
+// survivorWorkers sizes a faulted shard's pool one survivor above its
+// stall-family fault count (min 2): every parking fault claims a worker,
+// and an audit needs a live worker to keep the shard's churn (and
+// telemetry progress) going.
+func survivorWorkers(faults []string) int {
+	parks := 0
+	for _, f := range faults {
+		if chaos.ParksWorker(f) {
+			parks++
+		}
+	}
+	return max(parks+1, 2)
+}
+
 func (cfg *ChaosConfig) fill() {
 	if len(cfg.Schemes) == 0 {
 		cfg.Schemes = []string{"ebr", "ibr", "hp"}
@@ -91,19 +102,7 @@ func (cfg *ChaosConfig) fill() {
 		cfg.Faults = []string{"stall"}
 	}
 	if cfg.WorkersPerShard <= 0 {
-		// One survivor above the stall-family fault count: every parking
-		// fault claims a worker, and the audit needs a live worker to
-		// keep the shard's churn (and telemetry progress) going.
-		parks := 0
-		for _, f := range cfg.Faults {
-			if chaos.ParksWorker(f) {
-				parks++
-			}
-		}
-		cfg.WorkersPerShard = parks + 1
-		if cfg.WorkersPerShard < 2 {
-			cfg.WorkersPerShard = 2
-		}
+		cfg.WorkersPerShard = survivorWorkers(cfg.Faults)
 	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 2 * len(cfg.Schemes)
@@ -199,65 +198,10 @@ type ChaosResult struct {
 	ObsURL string `json:"obs_url,omitempty"`
 }
 
-// runTimedClients drives closed-loop clients until deadline, tolerating
-// per-operation errors (they are what faults — and migration windows —
-// look like from outside). Returns total ops, op errors, and merged
-// request latencies. Shared by the chaos, adaptive, duration-boxed
-// service, and observability experiments. each, when non-nil, receives
-// every request latency live (the SLO monitor's feed); it is called from
-// every client goroutine concurrently and must be cheap and thread-safe.
-func runTimedClients(st *store.Store, src *workload.Source, clients, batchSize int, deadline time.Time, each func(time.Duration)) (uint64, uint64, hist.Latency, error) {
-	var wg sync.WaitGroup
-	ops := make([]uint64, clients)
-	errs := make([]uint64, clients)
-	lats := make([]hist.Latency, clients)
-	fail := make([]error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			stream := src.Thread(c, 1<<20)
-			batch := make([]store.Op, 0, batchSize)
-			for time.Now().Before(deadline) {
-				batch = batch[:0]
-				for len(batch) < batchSize {
-					kind, key := stream.Next()
-					batch = append(batch, store.Op{Kind: kind, Key: key})
-				}
-				t0 := time.Now()
-				res, err := st.Do(batch)
-				if err != nil {
-					// Store-level failure (closed store): a harness bug,
-					// not a fault outcome.
-					fail[c] = err
-					return
-				}
-				d := time.Since(t0)
-				lats[c].Record(d)
-				if each != nil {
-					each(d)
-				}
-				ops[c] += uint64(len(batch))
-				for _, r := range res {
-					if r.Err != nil {
-						errs[c]++
-					}
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	var lat hist.Latency
-	var totalOps, totalErrs uint64
-	for c := 0; c < clients; c++ {
-		if fail[c] != nil {
-			return 0, 0, lat, fail[c]
-		}
-		totalOps += ops[c]
-		totalErrs += errs[c]
-		lat.Merge(&lats[c])
-	}
-	return totalOps, totalErrs, lat, nil
+// Gates returns EXP-CHAOS's acceptance gate: no audit contradicted a
+// declared robustness class.
+func (r ChaosResult) Gates() map[string]bool {
+	return map[string]bool{"verdicts_consistent": r.Consistent}
 }
 
 // RunChaos builds a gated store with one shard per scheme, runs
@@ -365,7 +309,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		}
 		engine.Stop()
 	}()
-	ops, opErrs, lat, err := runTimedClients(st, src, cfg.Clients, cfg.Batch, deadline, nil)
+	t, err := storeClients{st: st, src: src, clients: cfg.Clients, batch: cfg.Batch, deadline: deadline}.run()
 	<-healed
 	elapsed := time.Since(start)
 	sampler.Stop()
@@ -394,10 +338,10 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 			Schedule: src.Config().Schedule,
 			Seed:     cfg.Seed,
 			Elapsed:  elapsed,
-			Ops:      ops,
-			OpErrs:   opErrs,
-			P50:      lat.Percentile(0.50),
-			P99:      lat.Percentile(0.99),
+			Ops:      t.ops,
+			OpErrs:   t.errs,
+			P50:      t.lat.Percentile(0.50),
+			P99:      t.lat.Percentile(0.99),
 		},
 	}
 	budget := telemetry.Budget{Threads: cfg.WorkersPerShard, Threshold: cfg.Threshold}
@@ -452,27 +396,4 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// ChaosVerdictError is returned by CheckChaos when an audit contradicts a
-// declared robustness class.
-type ChaosVerdictError struct{ Rows []ChaosRow }
-
-func (e *ChaosVerdictError) Error() string {
-	return fmt.Sprintf("chaos: %d scheme(s) violated their declared robustness class", len(e.Rows))
-}
-
-// CheckChaos returns a ChaosVerdictError when the result holds
-// violations, for drivers that want a nonzero exit under -strict.
-func CheckChaos(res ChaosResult) error {
-	var bad []ChaosRow
-	for _, r := range res.Rows {
-		if !r.Consistent {
-			bad = append(bad, r)
-		}
-	}
-	if len(bad) > 0 {
-		return &ChaosVerdictError{Rows: bad}
-	}
-	return nil
 }

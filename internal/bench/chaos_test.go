@@ -68,21 +68,22 @@ func TestRunChaosSeparatesClasses(t *testing.T) {
 	if res.Agg.Ops == 0 {
 		t.Error("clients made no progress under chaos")
 	}
-	if err := CheckChaos(res); err != nil {
-		t.Errorf("CheckChaos: %v", err)
+	if !res.Gates()["verdicts_consistent"] {
+		t.Error("verdicts_consistent gate false")
 	}
 
 	// The artifact round-trips.
 	var buf bytes.Buffer
-	if err := WriteChaosReport(&buf, res); err != nil {
+	if err := WriteArtifact(&buf, "chaos", nil, res, res.Gates()); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReadChaosReport(&buf)
+	var back ChaosResult
+	rep, err := ReadArtifact(&buf, nil, &back)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Experiment != "chaos" || len(rep.Rows) != 3 || !rep.Consistent {
-		t.Fatalf("artifact round-trip mangled: %+v", rep.Aggregate)
+	if rep.Experiment != "chaos" || len(back.Rows) != 3 || !rep.Gates["verdicts_consistent"] {
+		t.Fatalf("artifact round-trip mangled: %+v", back.Agg)
 	}
 
 	// And the table renders every verdict.
@@ -115,10 +116,10 @@ func TestRunChaosChurnFault(t *testing.T) {
 		t.Error("churn fault produced no ErrShardClosed results — did it fire?")
 	}
 	var buf bytes.Buffer
-	if err := WriteChaosReport(&buf, res); err != nil {
+	if err := WriteArtifact(&buf, "chaos", nil, res, res.Gates()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadChaosReport(&buf); err != nil {
+	if _, err := ReadArtifact(&buf, nil, &ChaosResult{}); err != nil {
 		t.Fatal(err)
 	}
 }

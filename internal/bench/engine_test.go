@@ -33,18 +33,9 @@ func TestThroughputWorkloadMatrix(t *testing.T) {
 	}
 }
 
-// TestThroughputRejectsUnknownWorkload: bad registry names surface as
-// errors, not silent fallbacks.
-func TestThroughputRejectsUnknownWorkload(t *testing.T) {
-	if _, err := bench.Throughput("ebr", "michael", bench.ThroughputConfig{Workload: "nosuch"}); err == nil {
-		t.Error("unknown distribution must error")
-	}
-	if _, err := bench.Throughput("ebr", "michael", bench.ThroughputConfig{Schedule: "nosuch"}); err == nil {
-		t.Error("unknown schedule must error")
-	}
-}
-
-// TestJSONReportRoundTrip: the machine-readable artifact preserves the rows.
+// TestJSONReportRoundTrip: a measured throughput row survives the
+// BENCH_<name>.json envelope unchanged, and the artifact carries the
+// workload names and latency fields CI greps for.
 func TestJSONReportRoundTrip(t *testing.T) {
 	row, err := bench.Throughput("vbr", "michael", bench.ThroughputConfig{
 		Threads: 2, OpsPerThread: 1500, KeyRange: 128, Workload: "zipfian", Schedule: "phased", Seed: 3,
@@ -53,7 +44,7 @@ func TestJSONReportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := bench.WriteJSONReport(&sb, "throughput", []bench.ThroughputRow{row}); err != nil {
+	if err := bench.WriteArtifact(&sb, "throughput", nil, []bench.ThroughputRow{row}, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -62,12 +53,27 @@ func TestJSONReportRoundTrip(t *testing.T) {
 			t.Errorf("artifact missing %s:\n%s", want, out)
 		}
 	}
-	rep, err := bench.ReadJSONReport(strings.NewReader(out))
+	var rows []bench.ThroughputRow
+	a, err := bench.ReadArtifact(strings.NewReader(out), nil, &rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 1 || rep.Rows[0] != row {
-		t.Errorf("round trip changed the row:\n got %+v\nwant %+v", rep.Rows[0], row)
+	if a.Experiment != "throughput" {
+		t.Errorf("experiment: %q", a.Experiment)
+	}
+	if len(rows) != 1 || rows[0] != row {
+		t.Errorf("round trip changed the rows:\n got %+v\nwant %+v", rows, row)
+	}
+}
+
+// TestThroughputRejectsUnknownWorkload: bad registry names surface as
+// errors, not silent fallbacks.
+func TestThroughputRejectsUnknownWorkload(t *testing.T) {
+	if _, err := bench.Throughput("ebr", "michael", bench.ThroughputConfig{Workload: "nosuch"}); err == nil {
+		t.Error("unknown distribution must error")
+	}
+	if _, err := bench.Throughput("ebr", "michael", bench.ThroughputConfig{Schedule: "nosuch"}); err == nil {
+		t.Error("unknown schedule must error")
 	}
 }
 

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/adapt"
@@ -10,7 +8,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/rec"
 	"repro/internal/sched"
-	"repro/internal/smr/all"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -18,8 +15,8 @@ import (
 
 // ObsConfig sizes the observability experiment (EXP-OBS): an adaptive
 // fleet under staggered, self-healing faults with the full plane wired —
-// flight recorder on every subsystem, SLO monitor on the request path,
-// optional live HTTP export — whose product is the causal timeline
+// flight recorder on every subsystem, SLO monitor on the request path —
+// whose product is the causal timeline
 // (fault fired → backlog inflection → verdict flip → migration → heal)
 // with detection/reaction latencies, plus a recorder-on/off overhead A/B.
 type ObsConfig struct {
@@ -73,11 +70,12 @@ type ObsConfig struct {
 	// (breaches are informative, not required — "robust but slow" is a
 	// state the plane reports, not one the experiment engineers).
 	SLOTarget time.Duration
-	// RecorderCapacity is the per-stripe ring size; 0 selects 1<<15 —
-	// large enough that a one-second window's scan events cannot wrap
-	// the early fault fires out of the ring (the default rec capacity
-	// is sized for always-on deployments, where a wrapped suffix is the
-	// point; the experiment wants the whole tape).
+	// RecorderCapacity is the per-stripe ring size; 0 sizes it to the
+	// window — scanEventsPerSec × Duration rounded up to a power of two,
+	// at least 1<<15 — so the window's scan events cannot wrap the early
+	// fault fires out of the ring (the default rec capacity is sized for
+	// always-on deployments, where a wrapped suffix is the point; the
+	// experiment wants the whole tape).
 	RecorderCapacity int
 	// OverheadRounds is how many recorder-on/off round *pairs* the
 	// overhead A/B runs (each arm's best round is compared); 0 selects
@@ -86,9 +84,6 @@ type ObsConfig struct {
 	// OverheadRoundDuration is one A/B round's traffic window; 0 selects
 	// 120ms.
 	OverheadRoundDuration time.Duration
-	// ObsAddr, when non-empty, serves the live plane (/metrics, /timeline,
-	// pprof) on this address for the duration of the faulted run.
-	ObsAddr string
 	// Mix, Workload, Schedule name the traffic shape; zero values select
 	// balanced/uniform/steady.
 	Mix      Mix
@@ -97,6 +92,12 @@ type ObsConfig struct {
 	// Seed makes client streams deterministic.
 	Seed uint64
 }
+
+// scanEventsPerSec is the per-stripe event rate the default recorder
+// capacity provisions for. SMR scan events dominate the tape; a faulted
+// two-shard fleet on a contended 2-core box peaks near 40k per shard
+// per second, so this leaves about 1.6x headroom.
+const scanEventsPerSec = 1 << 16
 
 func (cfg *ObsConfig) fill() {
 	if cfg.Shards <= 0 {
@@ -115,16 +116,7 @@ func (cfg *ObsConfig) fill() {
 		cfg.Faults = []string{"delayed-release"}
 	}
 	if cfg.WorkersPerShard <= 0 {
-		parks := 0
-		for _, f := range cfg.Faults {
-			if chaos.ParksWorker(f) {
-				parks++
-			}
-		}
-		cfg.WorkersPerShard = parks + 1
-		if cfg.WorkersPerShard < 2 {
-			cfg.WorkersPerShard = 2
-		}
+		cfg.WorkersPerShard = survivorWorkers(cfg.Faults)
 	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 2 * cfg.Shards
@@ -157,13 +149,7 @@ func (cfg *ObsConfig) fill() {
 		cfg.SampleInterval = sampleEvery(cfg.Duration)
 	}
 	if cfg.DecideInterval <= 0 {
-		cfg.DecideInterval = cfg.Duration / 32
-		if cfg.DecideInterval < 5*time.Millisecond {
-			cfg.DecideInterval = 5 * time.Millisecond
-		}
-		if cfg.DecideInterval > 25*time.Millisecond {
-			cfg.DecideInterval = 25 * time.Millisecond
-		}
+		cfg.DecideInterval = clamp(cfg.Duration/32, 5*time.Millisecond, 25*time.Millisecond)
 	}
 	if cfg.Hysteresis <= 0 {
 		cfg.Hysteresis = 2
@@ -173,6 +159,9 @@ func (cfg *ObsConfig) fill() {
 	}
 	if cfg.RecorderCapacity <= 0 {
 		cfg.RecorderCapacity = 1 << 15
+		for cfg.RecorderCapacity < int(cfg.Duration.Seconds()*scanEventsPerSec) {
+			cfg.RecorderCapacity <<= 1
+		}
 	}
 	if cfg.OverheadRounds == 0 {
 		cfg.OverheadRounds = 3
@@ -253,8 +242,21 @@ type ObsResult struct {
 	Events   []rec.Event               `json:"events"`
 	Series   map[int][]telemetry.Point `json:"series,omitempty"`
 	Overhead ObsOverhead               `json:"overhead"`
-	// ServedAt is the live plane's URL when ObsAddr was set.
-	ServedAt string `json:"served_at,omitempty"`
+}
+
+// Gates returns EXP-OBS's acceptance gates: every injected fault's
+// causal chain closed, every incident's detection latency is finite, and
+// the recorder costs at most 5% of throughput (when the A/B ran).
+func (r ObsResult) Gates() map[string]bool {
+	finite := len(r.Timeline.Incidents) > 0
+	for _, in := range r.Timeline.Incidents {
+		finite = finite && in.DetectionLatency >= 0
+	}
+	return map[string]bool{
+		"chains_complete":  r.Complete,
+		"detection_finite": finite,
+		"overhead_ok":      r.Overhead.Rounds <= 0 || r.Overhead.OK,
+	}
 }
 
 // RunObs runs EXP-OBS: an adaptive fleet of Shards identical shards on
@@ -312,22 +314,10 @@ func RunObs(cfg ObsConfig) (ObsResult, error) {
 
 	// The monitor: domain i = shard i, verdict flips mirrored onto the
 	// tape — the detection half of every incident chain.
-	startProps, err := all.Props(cfg.StartScheme)
+	mon, err := verdictMonitor(st, recorder)
 	if err != nil {
 		return ObsResult{}, err
 	}
-	budget := telemetry.Budget{Threads: cfg.WorkersPerShard, Threshold: cfg.Threshold}
-	domains := make([]telemetry.Domain, cfg.Shards)
-	for i := range domains {
-		domains[i] = telemetry.Domain{
-			Scheme:   cfg.StartScheme,
-			Declared: startProps.Robustness,
-			Budget:   budget,
-		}
-	}
-	mon := telemetry.NewMonitor(telemetry.MonitorConfig{
-		OnFlip: obs.VerdictHook(recorder),
-	}, domains)
 	sampler := telemetry.NewSampler(telemetry.Config{
 		Interval: cfg.SampleInterval,
 		Capacity: 4096,
@@ -366,21 +356,6 @@ func RunObs(cfg ObsConfig) (ObsResult, error) {
 
 	slo := obs.NewSLO(cfg.SLOTarget, 512, clock, recorder)
 
-	var srv *obs.Server
-	if cfg.ObsAddr != "" {
-		srv, err = obs.Serve(cfg.ObsAddr, &obs.Registry{
-			Store:    st,
-			Sampler:  sampler,
-			Monitor:  mon,
-			Recorder: recorder,
-			SLO:      slo,
-		})
-		if err != nil {
-			return ObsResult{}, err
-		}
-		defer srv.Close()
-	}
-
 	sampler.Start()
 	engine.Start()
 	ctl.Start()
@@ -402,7 +377,7 @@ func RunObs(cfg ObsConfig) (ObsResult, error) {
 		}
 		engine.Stop()
 	}()
-	ops, opErrs, lat, err := runTimedClients(st, src, cfg.Clients, cfg.Batch, deadline, slo.Observe)
+	t, err := storeClients{st: st, src: src, clients: cfg.Clients, batch: cfg.Batch, deadline: deadline, observe: slo.Observe}.run()
 	<-healed
 	elapsed := time.Since(start)
 	slo.Stop()
@@ -435,11 +410,11 @@ func RunObs(cfg ObsConfig) (ObsResult, error) {
 			SLOTarget:   cfg.SLOTarget,
 			Seed:        cfg.Seed,
 			Elapsed:     elapsed,
-			Ops:         ops,
-			OpErrs:      opErrs,
-			MopsPerSec:  float64(ops) / elapsed.Seconds() / 1e6,
-			P50:         lat.Percentile(0.50),
-			P99:         lat.Percentile(0.99),
+			Ops:         t.ops,
+			OpErrs:      t.errs,
+			MopsPerSec:  float64(t.ops) / elapsed.Seconds() / 1e6,
+			P50:         t.lat.Percentile(0.50),
+			P99:         t.lat.Percentile(0.99),
 		},
 		Timeline:      tl,
 		Complete:      tl.Complete() && len(tl.Incidents) == cfg.Shards,
@@ -450,9 +425,6 @@ func RunObs(cfg ObsConfig) (ObsResult, error) {
 		Episodes:      ctl.Episodes(),
 		Events:        events,
 		Series:        series,
-	}
-	if srv != nil {
-		res.ServedAt = srv.URL
 	}
 
 	if cfg.OverheadRounds > 0 {
@@ -465,37 +437,29 @@ func RunObs(cfg ObsConfig) (ObsResult, error) {
 	return res, nil
 }
 
-// measureObsOverhead runs alternating recorder-on/recorder-off traffic
-// rounds over a faultless clone of the fleet and compares each arm's
-// best round. Interference on a shared box only ever subtracts
-// throughput, so the per-arm maximum is the least-noise estimate of the
-// arm's true rate; medians let one descheduled round swing the delta
-// past the budget on small runners. Alternation (on, off, off, on, ...)
-// spreads thermal and scheduler drift across both arms instead of
-// donating it to whichever ran second.
+// measureObsOverhead runs recorder-on/recorder-off traffic rounds over a
+// faultless clone of the fleet through bestOfPairs and compares each
+// arm's best round.
 func measureObsOverhead(cfg ObsConfig) (ObsOverhead, error) {
-	round := func(withRecorder bool, seed uint64) (float64, error) {
+	round := func(withRecorder bool, i int) (float64, float64, error) {
+		seed := cfg.Seed + uint64(i)*7919
 		var recorder *rec.Recorder
 		if withRecorder {
 			recorder = rec.NewRecorder(nil, cfg.RecorderCapacity)
 		}
-		specs := make([]store.ShardSpec, cfg.Shards)
-		for i := range specs {
-			specs[i] = store.ShardSpec{
+		st, err := store.New(store.Config{
+			Shards: store.Uniform(cfg.Shards, store.ShardSpec{
 				Scheme:    cfg.StartScheme,
 				Structure: cfg.Structure,
 				Workers:   cfg.WorkersPerShard,
 				Threshold: cfg.Threshold,
 				Slots:     cfg.SlotsPerShard,
-			}
-		}
-		st, err := store.New(store.Config{
-			Shards:   specs,
+			}),
 			KeyRange: cfg.KeyRange,
 			Recorder: recorder,
 		})
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		defer st.Close()
 		src, err := workload.New(workload.Config{
@@ -506,55 +470,25 @@ func measureObsOverhead(cfg ObsConfig) (ObsOverhead, error) {
 			Seed:     seed,
 		})
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if err := prefillHalf(st, cfg.KeyRange, cfg.Batch, seed); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		start := time.Now()
-		ops, _, _, err := runTimedClients(st, src, cfg.Clients, cfg.Batch,
-			start.Add(cfg.OverheadRoundDuration), nil)
-		elapsed := time.Since(start)
-		if err != nil {
-			return 0, err
-		}
-		return float64(ops) / elapsed.Seconds() / 1e6, nil
+		t, err := storeClients{st: st, src: src, clients: cfg.Clients, batch: cfg.Batch,
+			deadline: start.Add(cfg.OverheadRoundDuration)}.run()
+		mops := float64(t.ops) / time.Since(start).Seconds() / 1e6
+		return mops, mops, err
 	}
-
-	// One discarded warmup round: the first round after the faulted run
-	// pays for cold caches and allocator growth, and whichever arm drew
-	// it would eat a systematic penalty.
-	if _, err := round(true, cfg.Seed^0xdead); err != nil {
+	off, on, err := bestOfPairs(cfg.OverheadRounds, round)
+	if err != nil {
 		return ObsOverhead{}, err
-	}
-
-	var on, off []float64
-	for i := 0; i < cfg.OverheadRounds; i++ {
-		seed := cfg.Seed + uint64(i)*7919
-		// Alternate within-pair order (on/off, off/on, ...): the process
-		// keeps warming as rounds run, so a fixed order would donate the
-		// warm-up to whichever arm always ran second.
-		first := i%2 == 0
-		runtime.GC()
-		m1, err := round(first, seed)
-		if err != nil {
-			return ObsOverhead{}, err
-		}
-		runtime.GC()
-		m2, err := round(!first, seed)
-		if err != nil {
-			return ObsOverhead{}, err
-		}
-		if first {
-			on, off = append(on, m1), append(off, m2)
-		} else {
-			on, off = append(on, m2), append(off, m1)
-		}
 	}
 	oh := ObsOverhead{
 		Rounds:          cfg.OverheadRounds,
-		RecorderOnMops:  best(on),
-		RecorderOffMops: best(off),
+		RecorderOnMops:  on,
+		RecorderOffMops: off,
 	}
 	if oh.RecorderOffMops > 0 {
 		oh.DeltaPct = (oh.RecorderOffMops - oh.RecorderOnMops) / oh.RecorderOffMops * 100
@@ -564,36 +498,4 @@ func measureObsOverhead(cfg ObsConfig) (ObsOverhead, error) {
 	}
 	oh.OK = oh.DeltaPct <= 5
 	return oh, nil
-}
-
-func best(xs []float64) float64 {
-	var m float64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// CheckObs returns an error when the result misses the acceptance bar:
-// an unclosed incident chain, a non-finite detection latency, or a
-// recorder overhead above budget. Drivers use it for -strict exits.
-func CheckObs(res ObsResult) error {
-	if len(res.Timeline.Incidents) == 0 {
-		return fmt.Errorf("obs: no incidents on the tape (expected %d)", res.Agg.Shards)
-	}
-	for _, in := range res.Timeline.Incidents {
-		if !in.Complete {
-			return fmt.Errorf("obs: shard %d incident chain did not close (fault %q: verdict=%v migration=%v/%v heal=%v)",
-				in.Shard, in.Fault, in.VerdictAt != 0, in.MigrationStartAt != 0, in.MigrationDoneAt != 0, in.HealedAt != 0)
-		}
-		if in.DetectionLatency < 0 {
-			return fmt.Errorf("obs: shard %d detection latency is not finite", in.Shard)
-		}
-	}
-	if res.Overhead.Rounds > 0 && !res.Overhead.OK {
-		return fmt.Errorf("obs: recorder overhead %.1f%% exceeds the 5%% budget", res.Overhead.DeltaPct)
-	}
-	return nil
 }

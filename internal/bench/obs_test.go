@@ -16,9 +16,12 @@ func TestRunObsChainsComplete(t *testing.T) {
 		t.Skip("obs run needs a real traffic window")
 	}
 	res, err := RunObs(ObsConfig{
-		Duration:       900 * time.Millisecond,
-		OverheadRounds: -1, // the A/B is timing-sensitive; CI smoke owns it
-		Seed:           42,
+		Duration: 900 * time.Millisecond,
+		// One short pair just to exercise the A/B fields; the delta is
+		// timing-sensitive and gated only by the CI smoke run.
+		OverheadRounds:        1,
+		OverheadRoundDuration: 40 * time.Millisecond,
+		Seed:                  42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,8 +44,12 @@ func TestRunObsChainsComplete(t *testing.T) {
 	if !res.Complete {
 		t.Error("result not marked complete")
 	}
-	if err := CheckObs(res); err != nil {
-		t.Errorf("CheckObs: %v", err)
+	gates := res.Gates()
+	if !gates["chains_complete"] || !gates["detection_finite"] {
+		t.Errorf("gates: %v", gates)
+	}
+	if res.Overhead.Rounds != 1 || res.Overhead.RecorderOnMops <= 0 || res.Overhead.RecorderOffMops <= 0 {
+		t.Errorf("overhead A/B did not run: %+v", res.Overhead)
 	}
 	if res.RecorderDrops != 0 {
 		t.Errorf("recorder dropped %d events — capacity default too small for the window", res.RecorderDrops)
@@ -56,54 +63,15 @@ func TestRunObsChainsComplete(t *testing.T) {
 	if len(res.Episodes) == 0 {
 		t.Error("controller logged no migration episodes")
 	}
-}
 
-// TestObsReportRoundTrip pins the BENCH_obs.json schema: what the writer
-// emits, the reader (and the CI smoke's assertions) must get back.
-func TestObsReportRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("obs run needs a real traffic window")
-	}
-	res, err := RunObs(ObsConfig{
-		Duration:       400 * time.Millisecond,
-		OverheadRounds: 1,
-		// One short pair just to exercise the A/B fields; the delta
-		// itself is asserted only by the dedicated CI smoke run.
-		OverheadRoundDuration: 40 * time.Millisecond,
-		Seed:                  7,
-	})
+	// The registry's Chrome trace sidecar must be well-formed JSON with
+	// span events.
+	e, err := LookupExperiment("obs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteObsReport(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadObsReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Experiment != "obs" {
-		t.Fatalf("experiment = %q", rep.Experiment)
-	}
-	if rep.Result.Agg.Shards != res.Agg.Shards ||
-		len(rep.Result.Timeline.Incidents) != len(res.Timeline.Incidents) ||
-		rep.Result.RecorderTotal != res.RecorderTotal {
-		t.Fatal("round-trip lost fields")
-	}
-	for i, in := range rep.Result.Timeline.Incidents {
-		if in.DetectionLatency != res.Timeline.Incidents[i].DetectionLatency {
-			t.Fatalf("incident %d detection latency did not round-trip", i)
-		}
-	}
-	if rep.Result.Overhead.Rounds != 1 ||
-		rep.Result.Overhead.RecorderOnMops <= 0 || rep.Result.Overhead.RecorderOffMops <= 0 {
-		t.Fatalf("overhead A/B did not run: %+v", rep.Result.Overhead)
-	}
-
-	// The Chrome trace must be well-formed JSON with span events.
 	var trace bytes.Buffer
-	if err := WriteObsTrace(&trace, res); err != nil {
+	if err := e.Trace(&trace, res); err != nil {
 		t.Fatal(err)
 	}
 	var tf struct {

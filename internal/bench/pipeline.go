@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/hist"
 	"repro/internal/obs/rec"
 	"repro/internal/sched"
-	"repro/internal/smr/all"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -35,7 +33,7 @@ type PipelineConfig struct {
 	WorkersPerShard int
 	// Clients is the closed-loop client count; 0 selects Shards.
 	Clients int
-	// Duration is each A/B arm's traffic window; 0 selects 1s.
+	// Duration is each A/B round's traffic window; 0 selects 1s.
 	Duration time.Duration
 	// ChaosDuration is the campaign window; 0 selects Duration.
 	ChaosDuration time.Duration
@@ -160,12 +158,6 @@ type PipelineChaosRow struct {
 
 // PipelineResult is the full EXP-PIPELINE outcome.
 type PipelineResult struct {
-	Shards    int              `json:"shards"`
-	Workers   int              `json:"workers_per_shard"`
-	Clients   int              `json:"clients"`
-	Window    int              `json:"window"`
-	Structure string           `json:"structure"`
-	ReqMix    workload.ReqMix  `json:"req_mix"`
 	Blocking  PipelineArmRow   `json:"blocking"`
 	Pipelined PipelineArmRow   `json:"pipelined"`
 	Chaos     PipelineChaosRow `json:"chaos"`
@@ -173,6 +165,17 @@ type PipelineResult struct {
 	// two acceptance booleans (the CI smoke greps them).
 	PipelinedBeatsBlocking bool `json:"pipelined_beats_blocking"`
 	PartialChainsClosed    bool `json:"partial_chains_closed"`
+}
+
+// Gates returns EXP-PIPELINE's acceptance gates: the pipelined arm's
+// best round out-ran the blocking arm's, and the partial-failure chain
+// closed (fault fired → typed partial results → heal → clean full-width
+// request).
+func (r PipelineResult) Gates() map[string]bool {
+	return map[string]bool{
+		"pipelined_beats_blocking": r.PipelinedBeatsBlocking,
+		"partial_chains_closed":    r.PartialChainsClosed,
+	}
 }
 
 // newPipelineStore builds the experiment store (gated when the campaign
@@ -205,53 +208,27 @@ func newPipelineStore(cfg PipelineConfig, gated bool, recorder *rec.Recorder) (*
 	return st, gates, nil
 }
 
-func (cfg PipelineConfig) reqSource() (*workload.ReqSource, error) {
-	return workload.NewReqSource(workload.ReqConfig{
+// reqStreams draws one deterministic request stream per client.
+func reqStreams(rcfg workload.ReqConfig, clients int) (func(c int) workload.Req, error) {
+	src, err := workload.NewReqSource(rcfg)
+	if err != nil {
+		return nil, err
+	}
+	streams := make([]*workload.ReqStream, clients)
+	for c := range streams {
+		streams[c] = src.Thread(c, 1<<20)
+	}
+	return func(c int) workload.Req { return streams[c].Next() }, nil
+}
+
+func (cfg PipelineConfig) reqStreams() (func(c int) workload.Req, error) {
+	return reqStreams(workload.ReqConfig{
 		Dist:      cfg.Dist,
 		KeyRange:  cfg.KeyRange,
 		Mix:       cfg.ReqMix,
 		MultiSize: cfg.MultiSize,
 		Seed:      cfg.Seed,
-	})
-}
-
-// runBlockingArm is the baseline: each client executes one request at a
-// time against the store's native interface — a blocking Do for
-// point/multi requests, a sequential shard-by-shard loop for ranges —
-// and waits for the merged answer before drawing the next request.
-func runBlockingArm(st *store.Store, src *workload.ReqSource, cfg PipelineConfig, deadline time.Time) (uint64, hist.Latency, error) {
-	var wg sync.WaitGroup
-	reqs := make([]uint64, cfg.Clients)
-	lats := make([]hist.Latency, cfg.Clients)
-	fail := make([]error, cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			stream := src.Thread(c, 1<<20)
-			for time.Now().Before(deadline) {
-				req := stream.Next()
-				t0 := time.Now()
-				if err := blockingExecute(st, req); err != nil {
-					fail[c] = err
-					return
-				}
-				lats[c].Record(time.Since(t0))
-				reqs[c]++
-			}
-		}(c)
-	}
-	wg.Wait()
-	var total uint64
-	var lat hist.Latency
-	for c := 0; c < cfg.Clients; c++ {
-		if fail[c] != nil {
-			return 0, lat, fail[c]
-		}
-		total += reqs[c]
-		lat.Merge(&lats[c])
-	}
-	return total, lat, nil
+	}, cfg.Clients)
 }
 
 // blockingExecute serves one request the pre-exec way. Per-op errors are
@@ -285,115 +262,79 @@ func blockingExecute(st *store.Store, req workload.Req) error {
 	}
 }
 
-// runPipelinedArm drives the executor with a per-client window of
-// asynchronous handles: submit until the window is full, then retire the
-// oldest — the pipelining the exec layer buys. Returns requests
-// completed, partial-result count, completion latencies for all
-// requests, and for the fully-successful ("healthy") ones alone.
-func runPipelinedArm(ex *exec.Executor, src *workload.ReqSource, cfg PipelineConfig, deadline time.Time) (uint64, uint64, hist.Latency, hist.Latency, error) {
-	var wg sync.WaitGroup
-	reqs := make([]uint64, cfg.Clients)
-	partials := make([]uint64, cfg.Clients)
-	lats := make([]hist.Latency, cfg.Clients)
-	healthy := make([]hist.Latency, cfg.Clients)
-	fail := make([]error, cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			stream := src.Thread(c, 1<<20)
-			window := make([]*exec.Handle, 0, cfg.Window)
-			retire := func(h *exec.Handle) {
-				res := h.Wait()
-				lats[c].Record(res.Elapsed)
-				reqs[c]++
-				if res.Partial() {
-					partials[c]++
-				} else {
-					healthy[c].Record(res.Elapsed)
-				}
-			}
-			for time.Now().Before(deadline) {
-				h, err := ex.Submit(stream.Next())
-				if err != nil {
-					fail[c] = err
-					return
-				}
-				window = append(window, h)
-				if len(window) == cfg.Window {
-					retire(window[0])
-					window = append(window[:0], window[1:]...)
-				}
-			}
-			for _, h := range window {
-				retire(h)
-			}
-		}(c)
-	}
-	wg.Wait()
-	var total, partial uint64
-	var lat, healthyLat hist.Latency
-	for c := 0; c < cfg.Clients; c++ {
-		if fail[c] != nil {
-			return 0, 0, lat, healthyLat, fail[c]
-		}
-		total += reqs[c]
-		partial += partials[c]
-		lat.Merge(&lats[c])
-		healthyLat.Merge(&healthy[c])
-	}
-	return total, partial, lat, healthyLat, nil
+// pipeTally is what a pipelined drive measured: requests completed,
+// partial results, and completion latencies for all requests and for
+// the fully successful ("healthy") ones alone.
+type pipeTally struct {
+	reqs, partial uint64
+	lat, healthy  hist.Latency
 }
 
-// RunPipeline runs EXP-PIPELINE: the blocking baseline arm, the
-// pipelined arm on an identical fresh store, then the partial-failure
-// campaign under a chaos stall with the verdict-driven admission loop
-// live. Each phase uses the same seed, so the arms draw identical
-// request streams.
-func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
-	cfg.fill()
-	res := PipelineResult{
-		Shards:    cfg.Shards,
-		Workers:   cfg.WorkersPerShard,
-		Clients:   cfg.Clients,
-		Window:    cfg.Window,
-		Structure: cfg.Structure,
-		ReqMix:    cfg.ReqMix,
+// drivePipelined drives the executor with a per-client window of
+// asynchronous handles: submit until the window is full, then retire the
+// oldest — the pipelining the exec layer buys.
+func drivePipelined(ex *exec.Executor, cfg PipelineConfig, deadline time.Time) (pipeTally, error) {
+	next, err := cfg.reqStreams()
+	if err != nil {
+		return pipeTally{}, err
 	}
-
-	// Arm A: blocking loop over the store's native interface.
-	{
-		st, _, err := newPipelineStore(cfg, false, nil)
-		if err != nil {
-			return res, err
-		}
-		src, err := cfg.reqSource()
-		if err != nil {
-			st.Close()
-			return res, err
-		}
-		start := time.Now()
-		n, lat, err := runBlockingArm(st, src, cfg, start.Add(cfg.Duration))
-		elapsed := time.Since(start)
-		if cerr := st.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return res, err
-		}
-		res.Blocking = PipelineArmRow{
-			Arm: "blocking", Requests: n, Elapsed: elapsed,
-			ReqPerSec: float64(n) / elapsed.Seconds(),
-			P50:       lat.Percentile(0.50), P99: lat.Percentile(0.99),
-		}
+	type client struct {
+		window        []*exec.Handle
+		reqs, partial uint64
+		healthy       hist.Latency
 	}
-
-	// Arm B: pipelined scatter-gather on an identical fresh store.
-	{
-		st, _, err := newPipelineStore(cfg, false, nil)
-		if err != nil {
-			return res, err
+	cs := make([]client, cfg.Clients)
+	retire := func(c int, h *exec.Handle) time.Duration {
+		res := h.Wait()
+		cs[c].reqs++
+		if res.Partial() {
+			cs[c].partial++
+		} else {
+			cs[c].healthy.Record(res.Elapsed)
 		}
+		return res.Elapsed
+	}
+	lat, err := drive(load{clients: cfg.Clients, deadline: deadline}, next,
+		func(c int, req workload.Req) (time.Duration, error) {
+			h, err := ex.Submit(req)
+			if err != nil {
+				return 0, err
+			}
+			cl := &cs[c]
+			cl.window = append(cl.window, h)
+			if len(cl.window) < cfg.Window {
+				return 0, nil
+			}
+			oldest := cl.window[0]
+			cl.window = append(cl.window[:0], cl.window[1:]...)
+			return retire(c, oldest), nil
+		})
+	t := pipeTally{lat: lat}
+	for c := range cs {
+		for _, h := range cs[c].window {
+			t.lat.Record(retire(c, h))
+		}
+		t.reqs += cs[c].reqs
+		t.partial += cs[c].partial
+		t.healthy.Merge(&cs[c].healthy)
+	}
+	return t, err
+}
+
+// runPipelineArm runs one healthy A/B round on a fresh store: the
+// blocking baseline — each client executes one request at a time against
+// the store's native interface and waits for the answer — or the
+// pipelined executor.
+func runPipelineArm(cfg PipelineConfig, pipelined bool) (PipelineArmRow, error) {
+	st, _, err := newPipelineStore(cfg, false, nil)
+	if err != nil {
+		return PipelineArmRow{}, err
+	}
+	defer st.Close()
+	row := PipelineArmRow{Arm: "blocking"}
+	start := time.Now()
+	deadline := start.Add(cfg.Duration)
+	if pipelined {
 		// The healthy arm disables the leg budget: there is no fault to
 		// bound, and the budget's watchdog goroutine would tax every leg.
 		// The campaign re-enables it and pays for it there.
@@ -403,37 +344,69 @@ func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 			LegTimeout:          -1,
 		})
 		if err != nil {
-			st.Close()
-			return res, err
+			return row, err
 		}
-		src, err := cfg.reqSource()
-		if err != nil {
-			ex.Close()
-			st.Close()
-			return res, err
-		}
-		start := time.Now()
-		n, partial, lat, _, err := runPipelinedArm(ex, src, cfg, start.Add(cfg.Duration))
-		elapsed := time.Since(start)
+		t, err := drivePipelined(ex, cfg, deadline)
+		row.Elapsed = time.Since(start)
 		stats := ex.Stats()
 		if cerr := ex.Close(); err == nil {
 			err = cerr
 		}
-		if cerr := st.Close(); err == nil {
-			err = cerr
-		}
 		if err != nil {
-			return res, err
+			return row, err
 		}
-		res.Pipelined = PipelineArmRow{
-			Arm: "pipelined", Requests: n, Elapsed: elapsed,
-			ReqPerSec: float64(n) / elapsed.Seconds(),
-			P50:       lat.Percentile(0.50), P99: lat.Percentile(0.99),
-			Partial:   partial, Sheds: stats.Sheds, Timeouts: stats.Timeouts,
+		row.Arm, row.Requests, row.Partial = "pipelined", t.reqs, t.partial
+		row.Sheds, row.Timeouts = stats.Sheds, stats.Timeouts
+		row.P50, row.P99 = t.lat.Percentile(0.50), t.lat.Percentile(0.99)
+	} else {
+		next, err := cfg.reqStreams()
+		if err != nil {
+			return row, err
 		}
-		if res.Blocking.ReqPerSec > 0 {
-			res.Pipelined.ReqPerSecX = res.Pipelined.ReqPerSec / res.Blocking.ReqPerSec
+		reqs := make([]uint64, cfg.Clients)
+		lat, err := drive(load{clients: cfg.Clients, deadline: deadline}, next,
+			func(c int, req workload.Req) (time.Duration, error) {
+				t0 := time.Now()
+				if err := blockingExecute(st, req); err != nil {
+					return 0, err
+				}
+				reqs[c]++
+				return time.Since(t0), nil
+			})
+		row.Elapsed = time.Since(start)
+		if err != nil {
+			return row, err
 		}
+		for _, n := range reqs {
+			row.Requests += n
+		}
+		row.P50, row.P99 = lat.Percentile(0.50), lat.Percentile(0.99)
+	}
+	row.ReqPerSec = float64(row.Requests) / row.Elapsed.Seconds()
+	return row, st.Close()
+}
+
+// pipelineRounds is how many blocking/pipelined round pairs the A/B runs.
+const pipelineRounds = 3
+
+// RunPipeline runs EXP-PIPELINE: the blocking vs pipelined A/B over
+// paired rounds on identical fresh stores, then the partial-failure
+// campaign under a chaos stall with the verdict-driven admission loop
+// live. Every phase uses the same seed, so the arms draw identical
+// request streams.
+func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
+	cfg.fill()
+	var res PipelineResult
+	var err error
+	res.Blocking, res.Pipelined, err = bestOfPairs(pipelineRounds, func(pipelined bool, _ int) (PipelineArmRow, float64, error) {
+		row, err := runPipelineArm(cfg, pipelined)
+		return row, row.ReqPerSec, err
+	})
+	if err != nil {
+		return res, err
+	}
+	if res.Blocking.ReqPerSec > 0 {
+		res.Pipelined.ReqPerSecX = res.Pipelined.ReqPerSec / res.Blocking.ReqPerSec
 	}
 	res.PipelinedBeatsBlocking = res.Pipelined.ReqPerSec > res.Blocking.ReqPerSec
 
@@ -465,23 +438,10 @@ func runPipelineChaos(cfg PipelineConfig) (PipelineChaosRow, error) {
 	// The admission loop: gauge-tap sampler → online monitor →
 	// VerdictAdmission, the same classifier the adaptive controller
 	// trusts.
-	domains := make([]telemetry.Domain, st.Shards())
-	for s := range domains {
-		spec, err := st.Spec(s)
-		if err != nil {
-			return row, err
-		}
-		props, err := all.Props(spec.Scheme)
-		if err != nil {
-			return row, err
-		}
-		domains[s] = telemetry.Domain{
-			Scheme:   spec.Scheme,
-			Declared: props.Robustness,
-			Budget:   telemetry.Budget{Threads: spec.Workers, Threshold: spec.Threshold},
-		}
+	mon, err := verdictMonitor(st, nil)
+	if err != nil {
+		return row, err
 	}
-	mon := telemetry.NewMonitor(telemetry.MonitorConfig{}, domains)
 	sampler := telemetry.NewSampler(
 		telemetry.Config{Interval: sampleEvery(cfg.ChaosDuration), Capacity: 4096,
 			OnSample: mon.Observe, Recorder: recorder},
@@ -513,11 +473,6 @@ func runPipelineChaos(cfg PipelineConfig) (PipelineChaosRow, error) {
 	}
 	engine.Start()
 
-	src, err := cfg.reqSource()
-	if err != nil {
-		engine.Stop()
-		return row, err
-	}
 	deadline := time.Now().Add(cfg.ChaosDuration)
 	degraded := make(chan bool, 1)
 	go func() {
@@ -532,19 +487,19 @@ func runPipelineChaos(cfg PipelineConfig) (PipelineChaosRow, error) {
 		}
 		degraded <- false
 	}()
-	n, partial, _, healthyLat, err := runPipelinedArm(ex, src, cfg, deadline)
+	t, err := drivePipelined(ex, cfg, deadline)
 	row.DegradedSeen = <-degraded
 	if err != nil {
 		engine.Stop()
 		return row, err
 	}
 	stats := ex.Stats()
-	row.Requests = n
-	row.Partial = partial
+	row.Requests = t.reqs
+	row.Partial = t.partial
 	row.Sheds = stats.Sheds
 	row.Timeouts = stats.Timeouts
-	row.HealthyP50 = healthyLat.Percentile(0.50)
-	row.HealthyP99 = healthyLat.Percentile(0.99)
+	row.HealthyP50 = t.healthy.Percentile(0.50)
+	row.HealthyP99 = t.healthy.Percentile(0.99)
 
 	for _, ev := range engine.Events() {
 		if ev.Fault == "stall" {

@@ -1,15 +1,12 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"time"
 
 	"repro/internal/adapt"
-	"repro/internal/chaos"
-	"repro/internal/obs"
 )
 
 // WriteThroughputTable renders throughput rows.
@@ -106,32 +103,6 @@ func WriteServiceTable(w io.Writer, res ServiceResult) {
 	}
 }
 
-// ServiceReport is the machine-readable sharded-service artifact (the
-// BENCH_service.json file): the aggregate row plus the per-shard
-// breakdown, under the same experiment/trajectory convention as Report.
-type ServiceReport struct {
-	Experiment string            `json:"experiment"`
-	Aggregate  ServiceRow        `json:"aggregate"`
-	PerShard   []ServiceShardRow `json:"per_shard"`
-}
-
-// WriteServiceReport emits the service measurement as an indented JSON
-// benchmark artifact.
-func WriteServiceReport(w io.Writer, res ServiceResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ServiceReport{Experiment: "service", Aggregate: res.Aggregate, PerShard: res.PerShard})
-}
-
-// ReadServiceReport parses an artifact written by WriteServiceReport.
-func ReadServiceReport(r io.Reader) (ServiceReport, error) {
-	var rep ServiceReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return ServiceReport{}, fmt.Errorf("bench: malformed service artifact: %w", err)
-	}
-	return rep, nil
-}
-
 // writeEpisodes renders a migration episode log, one line per decision,
 // shared by the service and adaptive tables.
 func writeEpisodes(w io.Writer, eps []adapt.Episode) {
@@ -148,7 +119,8 @@ func writeEpisodes(w io.Writer, eps []adapt.Episode) {
 // WriteAdaptiveTable renders the adaptive experiment: one line per arm,
 // the adaptive arm's migration episode log, its fault episodes, then the
 // headline.
-func WriteAdaptiveTable(w io.Writer, res AdaptiveResult) {
+func WriteAdaptiveTable(w io.Writer, cfg AdaptiveConfig, res AdaptiveResult) {
+	cfg.fill()
 	fmt.Fprintf(w, "%-9s %-7s %-7s %5s %-18s %-18s %13s %10s %8s %6s %10s\n",
 		"arm", "start", "final", "moves", "faulted-audited", "final-audited",
 		"peak-retired", "ops", "op-errs", "ooms", "p99")
@@ -162,51 +134,16 @@ func WriteAdaptiveTable(w io.Writer, res AdaptiveResult) {
 	for _, ev := range res.Adaptive.Events {
 		fmt.Fprintf(w, "fault: %-16s shard %d at %s\n", ev.Fault, ev.Shard, ev.At.Round(time.Millisecond))
 	}
-	a := res.Agg
 	fmt.Fprintf(w, "aggregate: ladder %v from %s, faults %v, %s window, %d clients × batch %d, %s/%s mix %s seed %d\n",
-		a.Ladder, a.StartScheme, a.Faults, a.Duration, a.Clients, a.Batch,
-		a.Workload, a.Schedule, a.Mix, a.Seed)
+		cfg.Ladder, cfg.StartScheme, cfg.Faults, cfg.Duration, cfg.Clients, cfg.Batch,
+		cfg.Workload, cfg.Schedule, cfg.Mix, cfg.Seed)
 	fmt.Fprintf(w, "           adaptive improved on static: %v\n", res.Improved)
-}
-
-// AdaptiveReport is the machine-readable adaptive artifact (the
-// BENCH_adaptive.json file): both arms — migration episode log, fault
-// events, and evidence series included — under the same
-// experiment/trajectory convention as Report.
-type AdaptiveReport struct {
-	Experiment string            `json:"experiment"`
-	Static     AdaptiveArm       `json:"static"`
-	Adaptive   AdaptiveArm       `json:"adaptive"`
-	Aggregate  AdaptiveAggregate `json:"aggregate"`
-	Improved   bool              `json:"improved"`
-}
-
-// WriteAdaptiveReport emits the adaptive experiment as an indented JSON
-// benchmark artifact.
-func WriteAdaptiveReport(w io.Writer, res AdaptiveResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(AdaptiveReport{
-		Experiment: "adaptive",
-		Static:     res.Static,
-		Adaptive:   res.Adaptive,
-		Aggregate:  res.Agg,
-		Improved:   res.Improved,
-	})
-}
-
-// ReadAdaptiveReport parses an artifact written by WriteAdaptiveReport.
-func ReadAdaptiveReport(r io.Reader) (AdaptiveReport, error) {
-	var rep AdaptiveReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return AdaptiveReport{}, fmt.Errorf("bench: malformed adaptive artifact: %w", err)
-	}
-	return rep, nil
 }
 
 // WriteTraverseTable renders EXP-TRAVERSE: the storm arms, the snapshot
 // arms, then the headlines.
-func WriteTraverseTable(w io.Writer, res TraverseResult) {
+func WriteTraverseTable(w io.Writer, cfg TraverseConfig, res TraverseResult) {
+	cfg.fill()
 	fmt.Fprintf(w, "%-13s %10s %10s %10s %10s %11s %8s %13s %11s %13s\n",
 		"storm-arm", "ops", "Mops/s", "p50", "p99", "restarts/kop", "head-rs", "max-op-steps", "guard-trips", "peak-retired")
 	for _, a := range res.Storm {
@@ -220,40 +157,16 @@ func WriteTraverseTable(w io.Writer, res TraverseResult) {
 			a.Mode, a.SnapshotProbes, a.SnapshotKeys, a.SwapWindow.Round(time.Microsecond))
 	}
 	fmt.Fprintf(w, "aggregate: %d workers, %d clients, %s window, churn keyrange %d, snapshot %d universe / %d live, seed %d\n",
-		res.Workers, res.Clients, res.Duration, res.ChurnKeyRange, res.SnapKeyRange, res.SnapLiveKeys, res.Seed)
+		cfg.Workers, cfg.Clients, cfg.Duration, cfg.ChurnKeyRange, cfg.SnapKeyRange, cfg.SnapLiveKeys, cfg.Seed)
 	fmt.Fprintf(w, "           swap window improved %.1fx, probes bounded: %v, guard clean: %v\n",
 		res.SwapImprovement, res.ProbesBounded, res.GuardClean)
-}
-
-// TraverseReport is the machine-readable traverse artifact (the
-// BENCH_traverse.json file), under the same experiment/trajectory
-// convention as Report.
-type TraverseReport struct {
-	Experiment string `json:"experiment"`
-	TraverseResult
-}
-
-// WriteTraverseReport emits the traverse experiment as an indented JSON
-// benchmark artifact.
-func WriteTraverseReport(w io.Writer, res TraverseResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(TraverseReport{Experiment: "traverse", TraverseResult: res})
-}
-
-// ReadTraverseReport parses an artifact written by WriteTraverseReport.
-func ReadTraverseReport(r io.Reader) (TraverseReport, error) {
-	var rep TraverseReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return TraverseReport{}, fmt.Errorf("bench: malformed traverse artifact: %w", err)
-	}
-	return rep, nil
 }
 
 // WriteBatchTable renders EXP-BATCH: the throughput pairs, the
 // allocation section, the parked-worker backlog pairs, then the
 // headlines.
-func WriteBatchTable(w io.Writer, res BatchResult) {
+func WriteBatchTable(w io.Writer, cfg BatchConfig, res BatchResult) {
+	cfg.fill()
 	fmt.Fprintf(w, "%-7s %6s %-7s %10s %10s %10s %10s %9s %11s %11s %7s\n",
 		"scheme", "batch", "arm", "ops", "Mops/s", "p50", "p99", "fused", "rebrackets", "sorts", "ratio")
 	for _, p := range res.Pairs {
@@ -276,35 +189,10 @@ func WriteBatchTable(w io.Writer, res BatchResult) {
 			fmt.Sprintf("%d / %d", p.Serial.PeakRetired, p.Serial.Ops),
 			p.Bounded)
 	}
-	fmt.Fprintf(w, "aggregate: %d workers, %d clients, %s window, keyrange %d, stall %s, seed %d\n",
-		res.Workers, res.Clients, res.Duration, res.KeyRange, res.StallDuration, res.Seed)
+	fmt.Fprintf(w, "aggregate: %d workers, %d clients, %s window, keyrange %d, %d ops per parked-worker arm, seed %d\n",
+		cfg.Workers, cfg.Clients, cfg.Duration, cfg.KeyRange, cfg.BacklogOps, cfg.Seed)
 	fmt.Fprintf(w, "           best ratio %.2fx (fused beats serial: %v), zero-alloc: %v, backlog bounded: %v\n",
 		res.BestRatio, res.FusedBeatsSerial, res.ZeroAlloc, res.BacklogBounded)
-}
-
-// BatchReport is the machine-readable batch artifact (the
-// BENCH_batch.json file), under the same experiment convention as
-// Report.
-type BatchReport struct {
-	Experiment string `json:"experiment"`
-	BatchResult
-}
-
-// WriteBatchReport emits the batch experiment as an indented JSON
-// benchmark artifact.
-func WriteBatchReport(w io.Writer, res BatchResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(BatchReport{Experiment: "batch", BatchResult: res})
-}
-
-// ReadBatchReport parses an artifact written by WriteBatchReport.
-func ReadBatchReport(r io.Reader) (BatchReport, error) {
-	var rep BatchReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return BatchReport{}, fmt.Errorf("bench: malformed batch artifact: %w", err)
-	}
-	return rep, nil
 }
 
 // WriteChaosTable renders the chaos audit: one verdict line per scheme
@@ -331,65 +219,6 @@ func WriteChaosTable(w io.Writer, res ChaosResult) {
 		a.Shards, a.Workers, a.Clients, a.Batch, a.Faults, a.Workload, a.Schedule, a.Mix, a.Seed)
 	fmt.Fprintf(w, "           %d ops (%d op-errors) in %s, request p50 %s p99 %s, verdicts consistent: %v\n",
 		a.Ops, a.OpErrs, a.Elapsed.Round(time.Millisecond), fmtLatency(a.P50), fmtLatency(a.P99), res.Consistent)
-}
-
-// ChaosReport is the machine-readable chaos artifact (the
-// BENCH_chaos.json file): the audited rows with their evidence series,
-// the fault episode log, and the aggregate, under the same
-// experiment/trajectory convention as Report.
-type ChaosReport struct {
-	Experiment string         `json:"experiment"`
-	Rows       []ChaosRow     `json:"rows"`
-	Events     []chaos.Event  `json:"events"`
-	Aggregate  ChaosAggregate `json:"aggregate"`
-	Consistent bool           `json:"consistent"`
-}
-
-// WriteChaosReport emits the chaos audit as an indented JSON benchmark
-// artifact.
-func WriteChaosReport(w io.Writer, res ChaosResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ChaosReport{
-		Experiment: "chaos",
-		Rows:       res.Rows,
-		Events:     res.Events,
-		Aggregate:  res.Agg,
-		Consistent: res.Consistent,
-	})
-}
-
-// ReadChaosReport parses an artifact written by WriteChaosReport.
-func ReadChaosReport(r io.Reader) (ChaosReport, error) {
-	var rep ChaosReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return ChaosReport{}, fmt.Errorf("bench: malformed chaos artifact: %w", err)
-	}
-	return rep, nil
-}
-
-// Report is the machine-readable benchmark artifact (a BENCH_*.json file):
-// one experiment name plus its rows, so successive runs form a trajectory
-// that tooling can diff and plot.
-type Report struct {
-	Experiment string          `json:"experiment"`
-	Rows       []ThroughputRow `json:"rows"`
-}
-
-// WriteJSONReport emits rows as an indented JSON benchmark artifact.
-func WriteJSONReport(w io.Writer, experiment string, rows []ThroughputRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Report{Experiment: experiment, Rows: rows})
-}
-
-// ReadJSONReport parses an artifact written by WriteJSONReport.
-func ReadJSONReport(r io.Reader) (Report, error) {
-	var rep Report
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return Report{}, fmt.Errorf("bench: malformed benchmark artifact: %w", err)
-	}
-	return rep, nil
 }
 
 // WriteObsTable renders EXP-OBS: one line per incident chain, the
@@ -432,46 +261,13 @@ func WriteObsTable(w io.Writer, res ObsResult) {
 	fmt.Fprintf(w, "aggregate: %d shards from %s on ladder %v, faults %v held %s, %s window, %d clients × batch %d, %d ops (%d errs), p99 %s\n",
 		a.Shards, a.StartScheme, a.Ladder, a.Faults, a.Hold.Round(time.Millisecond),
 		a.Duration, a.Clients, a.Batch, a.Ops, a.OpErrs, fmtLatency(a.P99))
-	if res.ServedAt != "" {
-		fmt.Fprintf(w, "           live plane served at %s\n", res.ServedAt)
-	}
 	fmt.Fprintf(w, "           all incident chains complete: %v\n", res.Complete)
-}
-
-// ObsReport is the machine-readable observability artifact (the
-// BENCH_obs.json file): the full result under the experiment/trajectory
-// convention the other artifacts follow.
-type ObsReport struct {
-	Experiment string    `json:"experiment"`
-	Result     ObsResult `json:"result"`
-}
-
-// WriteObsReport emits the observability experiment as an indented JSON
-// benchmark artifact.
-func WriteObsReport(w io.Writer, res ObsResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ObsReport{Experiment: "obs", Result: res})
-}
-
-// ReadObsReport parses an artifact written by WriteObsReport.
-func ReadObsReport(r io.Reader) (ObsReport, error) {
-	var rep ObsReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return ObsReport{}, fmt.Errorf("bench: malformed obs artifact: %w", err)
-	}
-	return rep, nil
-}
-
-// WriteObsTrace emits the run's event tape and backlog series as a
-// Chrome trace-event file (chrome://tracing, ui.perfetto.dev).
-func WriteObsTrace(w io.Writer, res ObsResult) error {
-	return obs.WriteChromeTrace(w, res.Events, res.Series)
 }
 
 // WritePipelineTable renders EXP-PIPELINE: one line per A/B arm, the
 // partial-failure campaign summary, then the two acceptance headlines.
-func WritePipelineTable(w io.Writer, res PipelineResult) {
+func WritePipelineTable(w io.Writer, cfg PipelineConfig, res PipelineResult) {
+	cfg.fill()
 	fmt.Fprintf(w, "%-10s %10s %12s %10s %10s %8s %7s %8s\n",
 		"arm", "requests", "req/s", "p50", "p99", "partial", "sheds", "timeouts")
 	for _, a := range []PipelineArmRow{res.Blocking, res.Pipelined} {
@@ -487,39 +283,15 @@ func WritePipelineTable(w io.Writer, res PipelineResult) {
 	fmt.Fprintf(w, "       recorder: %d scatter / %d merge / %d shed events\n",
 		c.ScatterEvents, c.MergeEvents, c.ShedEvents)
 	fmt.Fprintf(w, "aggregate: %d shards × %d workers, %d clients, window %d, %s mix %s\n",
-		res.Shards, res.Workers, res.Clients, res.Window, res.Structure, res.ReqMix)
+		cfg.Shards, cfg.WorkersPerShard, cfg.Clients, cfg.Window, cfg.Structure, cfg.ReqMix)
 	fmt.Fprintf(w, "           pipelined beats blocking: %v (%.2fx); partial chains closed: %v\n",
 		res.PipelinedBeatsBlocking, res.Pipelined.ReqPerSecX, res.PartialChainsClosed)
 }
 
-// PipelineReport is the machine-readable EXP-PIPELINE artifact (the
-// BENCH_pipeline.json file), under the same experiment convention as
-// Report.
-type PipelineReport struct {
-	Experiment string `json:"experiment"`
-	PipelineResult
-}
-
-// WritePipelineReport emits the pipeline experiment as an indented JSON
-// benchmark artifact.
-func WritePipelineReport(w io.Writer, res PipelineResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(PipelineReport{Experiment: "pipeline", PipelineResult: res})
-}
-
-// ReadPipelineReport parses an artifact written by WritePipelineReport.
-func ReadPipelineReport(r io.Reader) (PipelineReport, error) {
-	var rep PipelineReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return PipelineReport{}, fmt.Errorf("bench: malformed pipeline artifact: %w", err)
-	}
-	return rep, nil
-}
-
 // WriteResilTable renders EXP-RESIL: the goodput A/B rows, the hedge
 // A/B rows, then the three acceptance headlines.
-func WriteResilTable(w io.Writer, res ResilResult) {
+func WriteResilTable(w io.Writer, cfg ResilConfig, res ResilResult) {
+	cfg.fill()
 	fmt.Fprintf(w, "%-10s %10s %10s %12s %12s %10s %10s\n",
 		"arm", "requests", "clean", "win-reqs", "win-clean", "p50", "p99")
 	for _, a := range []ResilArmRow{res.Naive, res.Resilient} {
@@ -537,67 +309,7 @@ func WriteResilTable(w io.Writer, res ResilResult) {
 			a.Arm, a.Requests, a.Pulses, fmtLatency(a.P50), fmtLatency(a.P99),
 			a.Hedges, a.HedgeWins, a.HedgeWaste)
 	}
-	fmt.Fprintf(w, "aggregate: %d shards, %d clients, mix %s\n", res.Shards, res.Clients, res.ReqMix)
+	fmt.Fprintf(w, "aggregate: %d shards, %d clients, mix %s\n", cfg.Shards, cfg.Clients, cfg.ReqMix)
 	fmt.Fprintf(w, "           goodput recovered: %v (%.2fx in fault windows); hedge bounds tail: %v (%.2fx p99); amplification bounded: %v\n",
 		res.GoodputRecovered, res.GoodputX, res.HedgeBoundsTail, res.HedgeP99X, res.AmplificationBounded)
-}
-
-// ResilReport is the machine-readable EXP-RESIL artifact (the
-// BENCH_resil.json file), under the same experiment convention as
-// Report.
-type ResilReport struct {
-	Experiment string `json:"experiment"`
-	ResilResult
-}
-
-// WriteResilReport emits the resilience experiment as an indented JSON
-// benchmark artifact.
-func WriteResilReport(w io.Writer, res ResilResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ResilReport{Experiment: "resil", ResilResult: res})
-}
-
-// ReadResilReport parses an artifact written by WriteResilReport.
-func ReadResilReport(r io.Reader) (ResilReport, error) {
-	var rep ResilReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return ResilReport{}, fmt.Errorf("bench: malformed resil artifact: %w", err)
-	}
-	return rep, nil
-}
-
-// CheckResil applies EXP-RESIL's acceptance criteria: typed retries
-// recover fault-window goodput (≥1.5× the naive arm), hedging bounds
-// the fan-out p99 under a one-slow-worker fault, and the retry budget
-// keeps load amplification under 1.3× offered.
-func CheckResil(res ResilResult) error {
-	if !res.GoodputRecovered {
-		return fmt.Errorf("bench: resilient fault-window goodput %d vs naive %d (%.2fx < 1.5x)",
-			res.Resilient.WindowClean, res.Naive.WindowClean, res.GoodputX)
-	}
-	if !res.HedgeBoundsTail {
-		return fmt.Errorf("bench: hedging did not bound the tail: p99 %s vs %s (%.2fx), %d hedges %d wins",
-			res.Hedged.P99, res.HedgeBase.P99, res.HedgeP99X, res.Hedged.Hedges, res.Hedged.HedgeWins)
-	}
-	if !res.AmplificationBounded {
-		return fmt.Errorf("bench: retry amplification %.3fx outside (0, 1.3]", res.Resilient.Amplification)
-	}
-	return nil
-}
-
-// CheckPipeline applies EXP-PIPELINE's acceptance criteria: the
-// pipelined arm out-runs the blocking loop, and the partial-failure
-// chain closed (fault fired → typed partial results → heal → clean
-// full-width request).
-func CheckPipeline(res PipelineResult) error {
-	if !res.PipelinedBeatsBlocking {
-		return fmt.Errorf("bench: pipelined arm (%.0f req/s) did not beat blocking (%.0f req/s)",
-			res.Pipelined.ReqPerSec, res.Blocking.ReqPerSec)
-	}
-	if !res.PartialChainsClosed {
-		return fmt.Errorf("bench: partial-failure chain open: fired=%v partial=%d healed=%v clean=%v",
-			res.Chaos.FaultFired, res.Chaos.Partial, res.Chaos.FaultHeals, res.Chaos.CleanAfterHeal)
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package bench_test
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -53,37 +52,30 @@ func TestWriteThroughputTable(t *testing.T) {
 	}
 }
 
-// TestJSONReportRoundTripStatic checks a BENCH_*.json artifact survives
-// write → read unchanged, on hand-built rows (engine_test covers the
-// measured path).
+// TestJSONReportRoundTripStatic: fixed throughput rows — including one
+// with no latency samples — round-trip through the envelope field for
+// field.
 func TestJSONReportRoundTripStatic(t *testing.T) {
 	rows := sampleRows()
 	var sb strings.Builder
-	if err := bench.WriteJSONReport(&sb, "throughput", rows); err != nil {
+	if err := bench.WriteArtifact(&sb, "throughput", nil, rows, nil); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := bench.ReadJSONReport(strings.NewReader(sb.String()))
+	var got []bench.ThroughputRow
+	a, err := bench.ReadArtifact(strings.NewReader(sb.String()), nil, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Experiment != "throughput" {
-		t.Errorf("experiment: %q", rep.Experiment)
+	if a.Experiment != "throughput" {
+		t.Errorf("experiment: %q", a.Experiment)
 	}
-	if len(rep.Rows) != len(rows) {
-		t.Fatalf("rows: %d want %d", len(rep.Rows), len(rows))
+	if len(got) != len(rows) {
+		t.Fatalf("rows: %d want %d", len(got), len(rows))
 	}
 	for i := range rows {
-		if rep.Rows[i] != rows[i] {
-			t.Errorf("row %d: got %+v want %+v", i, rep.Rows[i], rows[i])
+		if got[i] != rows[i] {
+			t.Errorf("row %d: got %+v want %+v", i, got[i], rows[i])
 		}
-	}
-}
-
-// TestReadJSONReportRejectsGarbage checks the artifact reader reports
-// malformed input as such.
-func TestReadJSONReportRejectsGarbage(t *testing.T) {
-	if _, err := bench.ReadJSONReport(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 
@@ -118,37 +110,6 @@ func TestWriteServiceTable(t *testing.T) {
 	}
 }
 
-// TestServiceReportRoundTrip checks the BENCH_service.json artifact
-// survives write → read unchanged.
-func TestServiceReportRoundTrip(t *testing.T) {
-	res := sampleService()
-	var sb strings.Builder
-	if err := bench.WriteServiceReport(&sb, res); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := bench.ReadServiceReport(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Experiment != "service" {
-		t.Errorf("experiment: %q", rep.Experiment)
-	}
-	if !reflect.DeepEqual(rep.Aggregate, res.Aggregate) {
-		t.Errorf("aggregate: got %+v want %+v", rep.Aggregate, res.Aggregate)
-	}
-	if len(rep.PerShard) != 2 {
-		t.Fatalf("per-shard: %d", len(rep.PerShard))
-	}
-	for i := range res.PerShard {
-		if rep.PerShard[i] != res.PerShard[i] {
-			t.Errorf("shard %d: got %+v want %+v", i, rep.PerShard[i], res.PerShard[i])
-		}
-	}
-	if _, err := bench.ReadServiceReport(strings.NewReader("{")); err == nil {
-		t.Error("truncated artifact accepted")
-	}
-}
-
 func sampleAdaptive() bench.AdaptiveResult {
 	return bench.AdaptiveResult{
 		Static: bench.AdaptiveArm{
@@ -168,13 +129,6 @@ func sampleAdaptive() bench.AdaptiveResult {
 			PeakRetired: 910, Ops: 310000, OpErrs: 4200,
 			P99: 55 * time.Microsecond,
 		},
-		Agg: bench.AdaptiveAggregate{
-			Ladder: []string{"ebr", "ibr", "hp"}, StartScheme: "ebr",
-			Structure: "hashmap", Faults: []string{"delayed-release"},
-			Workers: 2, Clients: 4, Batch: 16, KeyRange: 2048,
-			Duration: 800 * time.Millisecond, Mix: workload.MixBalanced,
-			Workload: "uniform", Schedule: "steady", Seed: 42,
-		},
 		Improved: true,
 	}
 }
@@ -183,42 +137,14 @@ func sampleAdaptive() bench.AdaptiveResult {
 // headline all render.
 func TestWriteAdaptiveTable(t *testing.T) {
 	var sb strings.Builder
-	bench.WriteAdaptiveTable(&sb, sampleAdaptive())
+	bench.WriteAdaptiveTable(&sb, bench.AdaptiveConfig{Seed: 42}, sampleAdaptive())
 	out := sb.String()
 	for _, want := range []string{"arm", "static", "adaptive", "ebr", "ibr",
 		"not-robust (unbounded)", "robust (bounded)",
-		"migration: shard 0 ebr → ibr at 190ms", "improved on static: true"} {
+		"migration: shard 0 ebr → ibr at 190ms", "ladder [ebr ibr hp] from ebr",
+		"800ms window", "seed 42", "improved on static: true"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("adaptive table missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestAdaptiveReportRoundTrip checks the BENCH_adaptive.json artifact
-// survives write → read unchanged, migration episodes included.
-func TestAdaptiveReportRoundTrip(t *testing.T) {
-	res := sampleAdaptive()
-	var sb strings.Builder
-	if err := bench.WriteAdaptiveReport(&sb, res); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := bench.ReadAdaptiveReport(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Experiment != "adaptive" || !rep.Improved {
-		t.Fatalf("round-trip header: %+v", rep.Aggregate)
-	}
-	if !reflect.DeepEqual(rep.Static, res.Static) {
-		t.Errorf("static arm: got %+v want %+v", rep.Static, res.Static)
-	}
-	if !reflect.DeepEqual(rep.Adaptive, res.Adaptive) {
-		t.Errorf("adaptive arm: got %+v want %+v", rep.Adaptive, res.Adaptive)
-	}
-	if !reflect.DeepEqual(rep.Aggregate, res.Agg) {
-		t.Errorf("aggregate: got %+v want %+v", rep.Aggregate, res.Agg)
-	}
-	if _, err := bench.ReadAdaptiveReport(strings.NewReader("{")); err == nil {
-		t.Error("truncated artifact accepted")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/hist"
 	"repro/internal/obs/rec"
 	"repro/internal/resil"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -200,10 +201,6 @@ type ResilHedgeRow struct {
 
 // ResilResult is the full EXP-RESIL outcome.
 type ResilResult struct {
-	Shards  int             `json:"shards"`
-	Clients int             `json:"clients"`
-	ReqMix  workload.ReqMix `json:"req_mix"`
-
 	Naive     ResilArmRow `json:"naive"`
 	Resilient ResilArmRow `json:"resilient"`
 	// GoodputX is the resilient arm's fault-window clean-request count
@@ -223,8 +220,46 @@ type ResilResult struct {
 	AmplificationBounded bool `json:"amplification_bounded"`
 }
 
-// resilDoer is one arm's request path: submit, block, merged result.
-type resilDoer func(req workload.Req) (*exec.Result, error)
+// Gates returns EXP-RESIL's acceptance gates: typed retries recover
+// fault-window goodput (≥1.5x the naive arm), hedging bounds the fan-out
+// p99 (≤0.7x unhedged) under a one-slow-worker fault, and the retry
+// budget keeps load amplification within (0, 1.3].
+func (r ResilResult) Gates() map[string]bool {
+	return map[string]bool{
+		"goodput_recovered":     r.GoodputRecovered,
+		"hedge_bounds_tail":     r.HedgeBoundsTail,
+		"amplification_bounded": r.AmplificationBounded,
+	}
+}
+
+// doer is a blocking fan-out request path — the bare executor or the
+// resilience client wrapped around it: submit, block, merged result.
+type doer func(req workload.Req) (*exec.Result, error)
+
+// newDoer builds a request path over st: the resilience client when
+// rcfg is non-nil, otherwise the bare executor behind a blocking
+// adapter. The returned func closes it.
+func newDoer(st *store.Store, execCfg exec.Config, rcfg *resil.Config) (doer, *resil.Client, func() error, error) {
+	if rcfg != nil {
+		c, err := resil.New(st, execCfg, *rcfg)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return c.Do, c, c.Close, nil
+	}
+	ex, err := exec.New(st, execCfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	do := func(req workload.Req) (*exec.Result, error) {
+		h, err := ex.Submit(req)
+		if err != nil {
+			return nil, err
+		}
+		return h.Wait(), nil
+	}
+	return do, nil, ex.Close, nil
+}
 
 // resilSample is one completed request: when it was submitted (shared
 // run clock), whether it came back clean, and how long it took.
@@ -234,54 +269,34 @@ type resilSample struct {
 	lat   time.Duration
 }
 
-// runPacedClients drives the open-loop offered schedule: every client
-// submits one request per pace tick — each served on its own goroutine,
-// since a resilient do blocks through retries — and the offered schedule
-// never slows down because completions lag. Samples are stamped with the
-// shared clock so they can be joined against the fault episodes.
-func runPacedClients(do resilDoer, src *workload.ReqSource, clients int, pace, dur time.Duration, clock *rec.Clock) ([]resilSample, error) {
-	var (
-		mu      sync.Mutex
-		samples []resilSample
-		firstEr error
-	)
-	var wg, inflight sync.WaitGroup
-	deadline := time.Now().Add(dur)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			stream := src.Thread(c, 1<<20)
-			next := time.Now()
-			for time.Now().Before(deadline) {
-				if d := time.Until(next); d > 0 {
-					time.Sleep(d)
-				}
-				next = next.Add(pace)
-				req := stream.Next()
-				at := clock.Now()
-				inflight.Add(1)
-				go func() {
-					defer inflight.Done()
-					t0 := time.Now()
-					res, err := do(req)
-					lat := time.Since(t0)
-					mu.Lock()
-					defer mu.Unlock()
-					if err != nil {
-						if firstEr == nil {
-							firstEr = err
-						}
-						return
-					}
-					samples = append(samples, resilSample{at: at, clean: !res.Partial(), lat: lat})
-				}()
-			}
-		}(c)
+// drivePaced drives the open-loop offered schedule through do: every
+// client submits one request per pace tick, each served on its own
+// goroutine since a resilient do blocks through retries, so the offered
+// schedule never slows down because completions lag. Samples are stamped
+// with the shared clock so they can be joined against the fault
+// episodes.
+func drivePaced(do doer, rcfg workload.ReqConfig, clients int, pace, dur time.Duration, clock *rec.Clock) ([]resilSample, error) {
+	next, err := reqStreams(rcfg, clients)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	inflight.Wait()
-	return samples, firstEr
+	var mu sync.Mutex
+	var samples []resilSample
+	_, err = drive(load{clients: clients, deadline: time.Now().Add(dur), pace: pace}, next,
+		func(c int, req workload.Req) (time.Duration, error) {
+			at := clock.Now()
+			t0 := time.Now()
+			res, err := do(req)
+			if err != nil {
+				return 0, err
+			}
+			lat := time.Since(t0)
+			mu.Lock()
+			samples = append(samples, resilSample{at: at, clean: !res.Partial(), lat: lat})
+			mu.Unlock()
+			return lat, nil
+		})
+	return samples, err
 }
 
 // foldSamples aggregates one arm's samples into its row, classifying
@@ -321,17 +336,6 @@ func foldSamples(row *ResilArmRow, samples []resilSample, events []chaos.Event, 
 	row.P99 = lat.Percentile(0.99)
 }
 
-// resilReqSource builds the phase's deterministic request stream.
-func (cfg ResilConfig) reqSource() (*workload.ReqSource, error) {
-	return workload.NewReqSource(workload.ReqConfig{
-		Dist:      "uniform",
-		KeyRange:  cfg.KeyRange,
-		Mix:       cfg.ReqMix,
-		MultiSize: cfg.MultiSize,
-		Seed:      cfg.Seed,
-	})
-}
-
 // runResilGoodputArm runs one goodput arm: a gated store under the two
 // staggered periodic faults, paced open-loop traffic, and either the
 // bare executor (naive) or the retrying client (resilient) serving it.
@@ -354,11 +358,9 @@ func runResilGoodputArm(cfg ResilConfig, resilient bool) (ResilArmRow, error) {
 	}
 	defer st.Close()
 
-	execCfg := exec.Config{LegTimeout: cfg.LegTimeout, Recorder: recorder}
-	var do resilDoer
-	var client *resil.Client
+	var rcfg *resil.Config
 	if resilient {
-		client, err = resil.New(st, execCfg, resil.Config{
+		rcfg = &resil.Config{
 			MaxAttempts: cfg.MaxAttempts,
 			RetryBase:   cfg.RetryBase,
 			RetryCap:    cfg.RetryCap,
@@ -367,26 +369,13 @@ func runResilGoodputArm(cfg ResilConfig, resilient bool) (ResilArmRow, error) {
 			Seed:        cfg.Seed,
 			Clock:       clock,
 			Recorder:    recorder,
-		})
-		if err != nil {
-			return row, err
-		}
-		defer client.Close()
-		do = client.Do
-	} else {
-		ex, err := exec.New(st, execCfg)
-		if err != nil {
-			return row, err
-		}
-		defer ex.Close()
-		do = func(req workload.Req) (*exec.Result, error) {
-			h, err := ex.Submit(req)
-			if err != nil {
-				return nil, err
-			}
-			return h.Wait(), nil
 		}
 	}
+	do, client, closeDo, err := newDoer(st, exec.Config{LegTimeout: cfg.LegTimeout, Recorder: recorder}, rcfg)
+	if err != nil {
+		return row, err
+	}
+	defer closeDo()
 
 	// Two staggered periodic faults: the stall parks the victim shard's
 	// only worker for each hold; the delayed-release pulse adds a retire
@@ -405,12 +394,10 @@ func runResilGoodputArm(cfg ResilConfig, resilient bool) (ResilArmRow, error) {
 	}
 	engine.Start()
 
-	src, err := cfg.reqSource()
-	if err != nil {
-		engine.Stop()
-		return row, err
-	}
-	samples, err := runPacedClients(do, src, cfg.Clients, cfg.Pace, cfg.Duration, clock)
+	samples, err := drivePaced(do, workload.ReqConfig{
+		Dist: "uniform", KeyRange: cfg.KeyRange, Mix: cfg.ReqMix,
+		MultiSize: cfg.MultiSize, Seed: cfg.Seed,
+	}, cfg.Clients, cfg.Pace, cfg.Duration, clock)
 	engine.Stop()
 	if err != nil {
 		return row, err
@@ -453,34 +440,19 @@ func runResilHedgeArm(cfg ResilConfig, hedged bool) (ResilHedgeRow, error) {
 	}
 	defer st.Close()
 
-	execCfg := exec.Config{LegTimeout: -1}
-	var do resilDoer
-	var client *resil.Client
+	var rcfg *resil.Config
 	if hedged {
-		client, err = resil.New(st, execCfg, resil.Config{
+		rcfg = &resil.Config{
 			MaxAttempts: 1, RetryBudget: -1,
 			Hedge: true, HedgeWindow: 32,
 			Seed: cfg.Seed,
-		})
-		if err != nil {
-			return row, err
-		}
-		defer client.Close()
-		do = client.Do
-	} else {
-		ex, err := exec.New(st, execCfg)
-		if err != nil {
-			return row, err
-		}
-		defer ex.Close()
-		do = func(req workload.Req) (*exec.Result, error) {
-			h, err := ex.Submit(req)
-			if err != nil {
-				return nil, err
-			}
-			return h.Wait(), nil
 		}
 	}
+	do, client, closeDo, err := newDoer(st, exec.Config{LegTimeout: -1}, rcfg)
+	if err != nil {
+		return row, err
+	}
+	defer closeDo()
 
 	// The pulse loop. ArmIfFree on worker 0 of the victim shard, wait for
 	// a client call to park on it, hold, release, breathe, repeat.
@@ -525,17 +497,11 @@ func runResilHedgeArm(cfg ResilConfig, hedged bool) (ResilHedgeRow, error) {
 
 	// MultiGet-only traffic: hedge duplicates re-execute their leg's
 	// operations, so the phase keeps them idempotent.
-	src, err := workload.NewReqSource(workload.ReqConfig{
+	samples, err := drivePaced(do, workload.ReqConfig{
 		Dist: "uniform", KeyRange: cfg.KeyRange,
 		Mix:       workload.ReqMix{MultiGetPct: 100},
 		MultiSize: cfg.MultiSize, Seed: cfg.Seed,
-	})
-	if err != nil {
-		close(stopPulse)
-		pulseWG.Wait()
-		return row, err
-	}
-	samples, err := runPacedClients(do, src, cfg.HedgeClients, cfg.HedgePace, cfg.HedgeDuration, clock)
+	}, cfg.HedgeClients, cfg.HedgePace, cfg.HedgeDuration, clock)
 	close(stopPulse)
 	pulseWG.Wait()
 	if err != nil {
@@ -563,7 +529,7 @@ func runResilHedgeArm(cfg ResilConfig, hedged bool) (ResilHedgeRow, error) {
 // hedge tail A/B under park pulses, then the three gates.
 func RunResil(cfg ResilConfig) (ResilResult, error) {
 	cfg.fill()
-	res := ResilResult{Shards: cfg.Shards, Clients: cfg.Clients, ReqMix: cfg.ReqMix}
+	var res ResilResult
 
 	var err error
 	if res.Naive, err = runResilGoodputArm(cfg, false); err != nil {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -229,73 +228,6 @@ type ServiceResult struct {
 	ObsURL string `json:"obs_url,omitempty"`
 }
 
-// runClients drives every client through ops operations from src,
-// batching Batch at a time. When lats is non-nil, client c records each
-// request's latency into lats[c].
-func runClients(st *store.Store, src *workload.Source, cfg ServiceConfig, ops int, lats []hist.Latency) error {
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			stream := src.Thread(c, ops)
-			batch := make([]store.Op, 0, cfg.Batch)
-			for done := 0; done < ops; {
-				batch = batch[:0]
-				for len(batch) < cfg.Batch && done+len(batch) < ops {
-					kind, key := stream.Next()
-					batch = append(batch, store.Op{Kind: kind, Key: key})
-				}
-				var t0 time.Time
-				if lats != nil {
-					t0 = time.Now()
-				}
-				res, err := st.Do(batch)
-				if err != nil {
-					errs[c] = err
-					return
-				}
-				if lats != nil {
-					lats[c].Record(time.Since(t0))
-				}
-				for i, r := range res {
-					if r.Err != nil {
-						errs[c] = fmt.Errorf("%v(%d): %w", batch[i].Kind, batch[i].Key, r.Err)
-						return
-					}
-				}
-				done += len(batch)
-			}
-		}(c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fanoutDoer abstracts the fan-out lane's submission path: the bare
-// pipelined executor, or the resilience client wrapped around it when
-// any of the Retry/Hedge/Breaker policies is on.
-type fanoutDoer interface {
-	Do(req workload.Req) (*exec.Result, error)
-}
-
-// execDoer adapts the raw executor to the blocking doer shape.
-type execDoer struct{ ex *exec.Executor }
-
-func (d execDoer) Do(req workload.Req) (*exec.Result, error) {
-	h, err := d.ex.Submit(req)
-	if err != nil {
-		return nil, err
-	}
-	return h.Wait(), nil
-}
-
 // fanoutOutcome is the fan-out lane's measurement: requests completed,
 // partial completions, tolerated per-key errors and sheds, and the
 // lane's own latency histogram.
@@ -309,85 +241,89 @@ type fanoutOutcome struct {
 	err     error
 }
 
-// runFanoutLane drives the dedicated fan-out clients through the
-// doer until stop closes. The point-op fleet runs concurrently on
-// the same store, so the lane's tail includes cross-traffic queueing —
-// which is what a service's fan-out tail means. Per-key errors and
-// partial completions are absorbed and counted, never fatal: the lane
-// measures the executor's service shape, and a shard mid-migration
-// answering ErrShardClosed is service behaviour.
-func runFanoutLane(do fanoutDoer, cfg ServiceConfig, stop <-chan struct{}) fanoutOutcome {
-	n := cfg.Clients * cfg.FanoutPct / 100
-	if n < 1 {
-		n = 1
-	}
-	src, err := workload.NewReqSource(workload.ReqConfig{
+// runFanoutLane drives the dedicated fan-out clients through do until
+// stop closes. ready is marked done once per client as it draws its
+// first request — past drive's stop check, so every client serves at
+// least one request however late the scheduler starts it. The point-op
+// fleet runs concurrently on the same store, so the lane's tail
+// includes cross-traffic queueing — which is what a service's fan-out
+// tail means. Per-key errors and partial completions are absorbed and
+// counted, never fatal: the lane measures the executor's service shape,
+// and a shard mid-migration answering ErrShardClosed is service
+// behaviour.
+func runFanoutLane(do doer, cfg ServiceConfig, stop <-chan struct{}, ready *sync.WaitGroup) fanoutOutcome {
+	n := fanoutClients(cfg)
+	draw, err := reqStreams(workload.ReqConfig{
 		Dist:      cfg.Workload,
 		KeyRange:  cfg.KeyRange,
 		Mix:       workload.ReqMixFanout,
 		MultiSize: cfg.FanoutKeys,
 		Seed:      cfg.Seed ^ 0xfa0fa0,
-	})
+	}, n)
 	if err != nil {
+		for range n {
+			ready.Done()
+		}
 		return fanoutOutcome{err: err}
 	}
 	outs := make([]fanoutOutcome, n)
-	var wg sync.WaitGroup
-	for c := 0; c < n; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			o := &outs[c]
-			stream := src.Thread(c, 1<<20)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				t0 := time.Now()
-				res, err := do.Do(stream.Next())
-				if err != nil {
-					// ErrClosed races the stop signal at shutdown; anything
-					// else (a shed on a healthy store) still only costs the
-					// one request.
-					if errors.Is(err, exec.ErrClosed) {
-						return
-					}
-					if errors.Is(err, exec.ErrShed) {
-						o.sheds++
-					}
-					o.errs++
-					continue
-				}
-				o.lat.Record(time.Since(t0))
-				o.reqs++
-				if res.Partial() {
-					o.partial++
-				}
-				for _, serr := range res.ShardErrs {
-					if errors.Is(serr.Reason, exec.ErrShed) {
-						o.sheds++
-					}
-				}
-				for _, r := range res.Results {
-					if r.Err != nil {
-						o.errs++
-					}
-				}
-			}
-		}(c)
+	first := make([]bool, n)
+	next := func(c int) workload.Req {
+		if !first[c] {
+			first[c] = true
+			ready.Done()
+		}
+		return draw(c)
 	}
-	wg.Wait()
-	total := fanoutOutcome{clients: n}
-	for i := range outs {
-		total.reqs += outs[i].reqs
-		total.partial += outs[i].partial
-		total.errs += outs[i].errs
-		total.sheds += outs[i].sheds
-		total.lat.Merge(&outs[i].lat)
+	// The only error a lane client stops on is ErrClosed, which races the
+	// stop signal at shutdown.
+	lat, _ := drive(load{clients: n, stop: stop}, next, func(c int, req workload.Req) (time.Duration, error) {
+		o := &outs[c]
+		t0 := time.Now()
+		res, err := do(req)
+		if err != nil {
+			// Anything but ErrClosed (a shed on a healthy store) only
+			// costs the one request.
+			if errors.Is(err, exec.ErrClosed) {
+				return 0, err
+			}
+			if errors.Is(err, exec.ErrShed) {
+				o.sheds++
+			}
+			o.errs++
+			return 0, nil
+		}
+		d := time.Since(t0)
+		o.reqs++
+		if res.Partial() {
+			o.partial++
+		}
+		for _, serr := range res.ShardErrs {
+			if errors.Is(serr.Reason, exec.ErrShed) {
+				o.sheds++
+			}
+		}
+		for _, r := range res.Results {
+			if r.Err != nil {
+				o.errs++
+			}
+		}
+		return d, nil
+	})
+	total := fanoutOutcome{clients: n, lat: lat}
+	for _, o := range outs {
+		total.reqs += o.reqs
+		total.partial += o.partial
+		total.errs += o.errs
+		total.sheds += o.sheds
 	}
 	return total
+}
+
+// fanoutClients is the fan-out lane's client count: FanoutPct percent
+// of Clients, at least one.
+func fanoutClients(cfg ServiceConfig) int {
+	return max(cfg.Clients*cfg.FanoutPct/100, 1)
 }
 
 // prefillHalf inserts ~KeyRange/2 random keys through the service, so
@@ -395,10 +331,16 @@ func runFanoutLane(do fanoutDoer, cfg ServiceConfig, stop <-chan struct{}) fanou
 // experiment.
 func prefillHalf(st *store.Store, keyRange, batchSize int, seed uint64) error {
 	pre := workload.RNG(seed ^ 0xf00d)
+	return insertKeys(st, keyRange/2, batchSize, func(int) int64 { return int64(pre.Next() % uint64(keyRange)) })
+}
+
+// insertKeys inserts key(i) for i in [0, n) through the service,
+// batchSize operations per request.
+func insertKeys(st *store.Store, n, batchSize int, key func(i int) int64) error {
 	batch := make([]store.Op, 0, batchSize)
-	for i := 0; i < keyRange/2; i++ {
-		batch = append(batch, store.Op{Kind: workload.OpInsert, Key: int64(pre.Next() % uint64(keyRange))})
-		if len(batch) == batchSize || i == keyRange/2-1 {
+	for i := 0; i < n; i++ {
+		batch = append(batch, store.Op{Kind: workload.OpInsert, Key: key(i)})
+		if len(batch) == batchSize || i == n-1 {
 			res, err := st.Do(batch)
 			if err != nil {
 				return err
@@ -437,10 +379,11 @@ func storeProbe(st *store.Store) telemetry.Probe {
 	}
 }
 
-// adaptMonitor builds the verdict monitor over the store's resolved
-// shard specs: domain i is shard i, with the shard's declared robustness
-// class and worker/threshold budget.
-func adaptMonitor(st *store.Store, recorder *rec.Recorder) (*telemetry.Monitor, error) {
+// verdictMonitor builds the online verdict monitor over the store's
+// resolved shard specs: domain i is shard i, with the shard's declared
+// robustness class and worker/threshold budget. A non-nil recorder gets
+// every verdict flip on its tape.
+func verdictMonitor(st *store.Store, recorder *rec.Recorder) (*telemetry.Monitor, error) {
 	domains := make([]telemetry.Domain, st.Shards())
 	for s := range domains {
 		spec, err := st.Spec(s)
@@ -467,7 +410,7 @@ func adaptMonitor(st *store.Store, recorder *rec.Recorder) (*telemetry.Monitor, 
 // attachAdapt wires the adaptive-reclamation loop onto a serving store:
 // a sampler driving probe into the monitor's online classifier, and the
 // controller deciding on it. The monitor is built separately
-// (adaptMonitor) so a resilience client can sit between — its breaker
+// (verdictMonitor) so a resilience client can sit between — its breaker
 // feeds on the monitor's verdicts while the sampler's probe carries its
 // counters. clock and recorder are optional (the observability plane's
 // shared run clock and flight recorder — when given, all three loops
@@ -491,15 +434,10 @@ func attachAdapt(st *store.Store, acfg adapt.Config, interval time.Duration, mon
 // sampleEvery derives a telemetry tick from a traffic window: ~200
 // samples per run, clamped to [200µs, 5ms].
 func sampleEvery(d time.Duration) time.Duration {
-	iv := d / 200
-	if iv < 200*time.Microsecond {
-		iv = 200 * time.Microsecond
-	}
-	if iv > 5*time.Millisecond {
-		iv = 5 * time.Millisecond
-	}
-	return iv
+	return clamp(d/200, 200*time.Microsecond, 5*time.Millisecond)
 }
+
+func clamp(d, lo, hi time.Duration) time.Duration { return min(max(d, lo), hi) }
 
 // RunService builds the sharded store, prefills it to half the key range,
 // runs the measured closed-loop client phase — op-boxed with warmup by
@@ -560,9 +498,7 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 	}
 
 	var (
-		ops     uint64
-		opErrs  uint64
-		lat     hist.Latency
+		t       storeTally
 		elapsed time.Duration
 		before  store.Stats
 		ctl     *adapt.Controller
@@ -571,10 +507,10 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 	// the clock, stopped right after, so its histogram covers the same
 	// window as the point-op percentiles it sits beside in the table.
 	var (
-		fanEx    *exec.Executor
+		fanClose func() error
 		fanResil *resil.Client
 		fanSLO   *obs.SLOSet
-		fanDo    fanoutDoer
+		fanDo    doer
 		fanStop  chan struct{}
 		fanDone  chan fanoutOutcome
 		fanOut   fanoutOutcome
@@ -593,9 +529,9 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 		// every leg with a watchdog (the chaos campaigns pay for the
 		// budget where it earns its keep).
 		ecfg := exec.Config{LegTimeout: -1, Clock: clock, Recorder: recorder}
-		var err error
+		var rcfg *resil.Config
 		if cfg.Retry || cfg.Hedge || cfg.Breaker {
-			rcfg := resil.Config{
+			rcfg = &resil.Config{
 				Hedge:    cfg.Hedge,
 				Breaker:  cfg.Breaker,
 				Verdicts: mon,
@@ -610,17 +546,10 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 			if fanSLO != nil {
 				rcfg.OnLegLatency = fanSLO.Observe
 			}
-			if fanResil, err = resil.New(st, ecfg, rcfg); err != nil {
-				return err
-			}
-			fanDo = fanResil
-			return nil
 		}
-		if fanEx, err = exec.New(st, ecfg); err != nil {
-			return err
-		}
-		fanDo = execDoer{fanEx}
-		return nil
+		var err error
+		fanDo, fanResil, fanClose, err = newDoer(st, ecfg, rcfg)
+		return err
 	}
 	startFanout := func() {
 		if fanDo == nil {
@@ -628,7 +557,12 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 		}
 		fanStop = make(chan struct{})
 		fanDone = make(chan fanoutOutcome, 1)
-		go func() { fanDone <- runFanoutLane(fanDo, cfg, fanStop) }()
+		// Wait until every lane client is past its first stop check, so
+		// a short measured phase cannot end before the lane has served.
+		var ready sync.WaitGroup
+		ready.Add(fanoutClients(cfg))
+		go func() { fanDone <- runFanoutLane(fanDo, cfg, fanStop, &ready) }()
+		ready.Wait()
 	}
 	stopFanout := func() error {
 		if fanDo == nil {
@@ -638,12 +572,7 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 			close(fanStop)
 			fanOut = <-fanDone
 		}
-		var err error
-		if fanResil != nil {
-			err = fanResil.Close()
-		} else {
-			err = fanEx.Close()
-		}
+		err := fanClose()
 		fanDo = nil
 		if fanOut.err != nil {
 			return fanOut.err
@@ -659,7 +588,7 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 		var sampler *telemetry.Sampler
 		var mon *telemetry.Monitor
 		if cfg.Adapt != nil {
-			if mon, err = adaptMonitor(st, recorder); err != nil {
+			if mon, err = verdictMonitor(st, recorder); err != nil {
 				return ServiceResult{}, err
 			}
 		}
@@ -696,7 +625,7 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 		startFanout()
 		before = st.Stats()
 		start := time.Now()
-		ops, opErrs, lat, err = runTimedClients(st, src, cfg.Clients, cfg.Batch, start.Add(cfg.Duration), nil)
+		t, err = storeClients{st: st, src: src, clients: cfg.Clients, batch: cfg.Batch, deadline: start.Add(cfg.Duration)}.run()
 		elapsed = time.Since(start)
 		if serr := stopFanout(); err == nil {
 			err = serr
@@ -723,16 +652,17 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 		case warmup == 0:
 			warmup = cfg.OpsPerClient / 10
 		}
+		clients := storeClients{st: st, src: src.Steady(cfg.Seed ^ 0xbadcafe), clients: cfg.Clients, batch: cfg.Batch, ops: warmup, strict: true}
 		if warmup > 0 {
-			if err := runClients(st, src.Steady(cfg.Seed^0xbadcafe), cfg, warmup, nil); err != nil {
+			if _, err := clients.run(); err != nil {
 				return ServiceResult{}, err
 			}
 		}
 		startFanout()
 		before = st.Stats()
-		lats := make([]hist.Latency, cfg.Clients)
+		clients.src, clients.ops = src, cfg.OpsPerClient
 		start := time.Now()
-		err := runClients(st, src, cfg, cfg.OpsPerClient, lats)
+		t, err = clients.run()
 		elapsed = time.Since(start)
 		if serr := stopFanout(); err == nil {
 			err = serr
@@ -740,10 +670,6 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 		if err != nil {
 			return ServiceResult{}, err
 		}
-		for i := range lats {
-			lat.Merge(&lats[i])
-		}
-		ops = uint64(cfg.Clients * cfg.OpsPerClient)
 	}
 
 	// Drain before the final read so Retired reflects the settled
@@ -765,17 +691,17 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 		Workload:   srcCfg.Dist,
 		Schedule:   srcCfg.Schedule,
 		KeyRange:   cfg.KeyRange,
-		Ops:        int(ops),
+		Ops:        int(t.ops),
 		Elapsed:    elapsed,
-		MopsPerSec: float64(ops) / elapsed.Seconds() / 1e6,
-		P50:        lat.Percentile(0.50),
-		P99:        lat.Percentile(0.99),
+		MopsPerSec: float64(t.ops) / elapsed.Seconds() / 1e6,
+		P50:        t.lat.Percentile(0.50),
+		P99:        t.lat.Percentile(0.99),
 
 		PeakRetired:    after.MaxRetired,
 		Faults:         after.Faults,
 		UnsafeAccesses: after.UnsafeAccesses,
 		Restarts:       after.Restarts,
-		OpErrs:         opErrs,
+		OpErrs:         t.errs,
 		Migrations:     after.Migrations,
 	}
 	if cfg.FanoutPct > 0 {

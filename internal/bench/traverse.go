@@ -106,14 +106,6 @@ type TraverseSnapArm struct {
 
 // TraverseResult is the full EXP-TRAVERSE measurement.
 type TraverseResult struct {
-	Workers       int           `json:"workers"`
-	Clients       int           `json:"clients"`
-	Duration      time.Duration `json:"duration_ns"`
-	ChurnKeyRange int           `json:"churn_key_range"`
-	SnapKeyRange  int           `json:"snap_key_range"`
-	SnapLiveKeys  int           `json:"snap_live_keys"`
-	Seed          uint64        `json:"seed"`
-
 	Storm []TraverseStormArm `json:"storm"`
 	Snap  []TraverseSnapArm  `json:"snapshot"`
 
@@ -127,6 +119,14 @@ type TraverseResult struct {
 	// GuardClean reports that no operation in either storm arm hit the
 	// traversal step budget.
 	GuardClean bool `json:"guard_clean"`
+}
+
+// Gates returns EXP-TRAVERSE's acceptance gates.
+func (r TraverseResult) Gates() map[string]bool {
+	return map[string]bool{
+		"snapshot_probes_bounded": r.ProbesBounded,
+		"guard_clean":             r.GuardClean,
+	}
 }
 
 // runTraverseStorm runs one storm arm: a single Michael-list shard over
@@ -162,10 +162,11 @@ func runTraverseStorm(cfg TraverseConfig, headRestart bool) (TraverseStormArm, e
 		return TraverseStormArm{}, err
 	}
 	start := time.Now()
-	ops, _, lat, err := runTimedClients(st, src, cfg.Clients, cfg.Batch, start.Add(cfg.Duration), nil)
+	t, err := storeClients{st: st, src: src, clients: cfg.Clients, batch: cfg.Batch, deadline: start.Add(cfg.Duration)}.run()
 	if err != nil {
 		return TraverseStormArm{}, err
 	}
+	ops := t.ops
 	elapsed := time.Since(start)
 	if err := st.Close(); err != nil {
 		return TraverseStormArm{}, err
@@ -175,8 +176,8 @@ func runTraverseStorm(cfg TraverseConfig, headRestart bool) (TraverseStormArm, e
 		Mode:             mode,
 		Ops:              ops,
 		MopsPerSec:       float64(ops) / elapsed.Seconds() / 1e6,
-		P50:              lat.Percentile(0.50),
-		P99:              lat.Percentile(0.99),
+		P50:              t.lat.Percentile(0.50),
+		P99:              t.lat.Percentile(0.99),
 		TravSteps:        s.TravSteps,
 		TravRestarts:     s.TravRestarts,
 		TravHeadRestarts: s.TravHeadRestarts,
@@ -216,32 +217,7 @@ func runTraverseSnap(cfg TraverseConfig, scan bool) (TraverseSnapArm, error) {
 	if stride < 1 {
 		stride = 1
 	}
-	batch := make([]store.Op, 0, cfg.Batch)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		res, err := st.Do(batch)
-		if err != nil {
-			return err
-		}
-		for _, r := range res {
-			if r.Err != nil {
-				return r.Err
-			}
-		}
-		batch = batch[:0]
-		return nil
-	}
-	for i := 0; i < cfg.SnapLiveKeys; i++ {
-		batch = append(batch, store.Op{Kind: workload.OpInsert, Key: int64(i * stride)})
-		if len(batch) == cfg.Batch {
-			if err := flush(); err != nil {
-				return TraverseSnapArm{}, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
+	if err := insertKeys(st, cfg.SnapLiveKeys, cfg.Batch, func(i int) int64 { return int64(i * stride) }); err != nil {
 		return TraverseSnapArm{}, err
 	}
 	if err := st.MigrateShard(0, "ebr"); err != nil {
@@ -259,15 +235,7 @@ func runTraverseSnap(cfg TraverseConfig, scan bool) (TraverseSnapArm, error) {
 // RunTraverse runs both sections of EXP-TRAVERSE, baseline arm first.
 func RunTraverse(cfg TraverseConfig) (TraverseResult, error) {
 	cfg.fill()
-	res := TraverseResult{
-		Workers:       cfg.Workers,
-		Clients:       cfg.Clients,
-		Duration:      cfg.Duration,
-		ChurnKeyRange: cfg.ChurnKeyRange,
-		SnapKeyRange:  cfg.SnapKeyRange,
-		SnapLiveKeys:  cfg.SnapLiveKeys,
-		Seed:          cfg.Seed,
-	}
+	var res TraverseResult
 	for _, headRestart := range []bool{true, false} {
 		arm, err := runTraverseStorm(cfg, headRestart)
 		if err != nil {

@@ -149,6 +149,13 @@ type Options struct {
 	OnGuardTrip func(structure, op string, steps, restarts uint64)
 }
 
+// RestartAtHead reports whether contention restarts must rewind to the
+// structure's entry point: under HeadRestart, and whenever read/write
+// phases are traced. A read phase may only reach nodes from entry points
+// (Appendix C), so resuming from a pred validated in an earlier phase is
+// not access-aware; traced runs keep the paper's head restarts.
+func (o Options) RestartAtHead() bool { return o.HeadRestart || o.Phases }
+
 // Named execution points (sched.Gate hits).
 const (
 	// PointSearchHead fires right after a search read the entry point's

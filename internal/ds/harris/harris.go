@@ -188,7 +188,7 @@ func (l *List) find(tid int, key int64, cu *cursor) (pred, curr mem.Ref, err err
 	}
 	resume := func(pred mem.Ref, predKey int64, pslot int) {
 		restarts++
-		if l.Opt.HeadRestart {
+		if l.Opt.RestartAtHead() {
 			anchor, anchorKey, aslot = l.head, int64(ds.KeyMin), 0
 			headRestarts++
 			return

@@ -163,7 +163,7 @@ retry:
 					// in slot sp. Resume from it (re-validating at the
 					// top) instead of rewinding the whole chain.
 					restarts++
-					if l.Opt.HeadRestart {
+					if l.Opt.RestartAtHead() {
 						pred, predKey, sp, sc = l.head, int64(ds.KeyMin), 0, 1
 						headRestarts++
 					}

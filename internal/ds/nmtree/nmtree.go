@@ -227,7 +227,11 @@ func (t *Tree) seek(tid int, key int64, r *seekRec, steps *uint64) status {
 // the splice CAS succeeded; the successful thread retires the whole
 // detached chain. ok=false reports a scheme rollback.
 func (t *Tree) cleanup(tid int, key int64, r *seekRec) (done bool, ok bool) {
-	leafWord := childWord(key, keyOf(t, tid, r.parent))
+	pkey, rok := keyOf(t, tid, r.parent)
+	if !rok {
+		return false, false
+	}
+	leafWord := childWord(key, pkey)
 	sibWord := WLeft + WRight - leafWord
 
 	le, rok := t.s.Read(tid, r.parent, leafWord)
@@ -251,6 +255,12 @@ func (t *Tree) cleanup(tid int, key int64, r *seekRec) (done bool, ok bool) {
 		// The flag is on the sibling edge: keep the key-side child.
 		keepWord = leafWord
 	}
+	// The TAG and the splice both write: reserve their nodes first, so a
+	// concurrent reclaimer either sees them reserved or neutralizes us.
+	if !t.s.Reserve(tid, r.ancestor, r.parent) {
+		return false, false
+	}
+	t.Phase(tid, ds.PhaseWrite)
 	// TAG the keep edge (preserving any carried flag).
 	var keep mem.Ref
 	for i := 0; ; i++ {
@@ -274,10 +284,6 @@ func (t *Tree) cleanup(tid int, key int64, r *seekRec) (done bool, ok bool) {
 			break
 		}
 	}
-	if !t.s.Reserve(tid, r.ancestor, r.parent) {
-		return false, false
-	}
-	t.Phase(tid, ds.PhaseWrite)
 	// Splice: the keep edge's target replaces successor, carrying the
 	// keep edge's flag but not its tag.
 	swapped, rok := t.s.CASPtr(tid, r.ancestor, r.ancWord, r.ancEdge, keep.WithoutAux())
@@ -294,11 +300,12 @@ func (t *Tree) cleanup(tid int, key int64, r *seekRec) (done bool, ok bool) {
 	return true, true
 }
 
-// keyOf reads a node's key without rollback handling (keys are immutable;
-// a stale read is repaired by the caller's retry loop).
-func keyOf(t *Tree, tid int, r mem.Ref) int64 {
-	k, _ := t.s.Read(tid, r, WKey)
-	return int64(k)
+// keyOf reads a node's key. ok=false is a scheme rollback the caller
+// must honour: the read may have consumed a neutralization (NBR), and
+// carrying on would let the next access touch reclaimed memory unflagged.
+func keyOf(t *Tree, tid int, r mem.Ref) (int64, bool) {
+	k, ok := t.s.Read(tid, r, WKey)
+	return int64(k), ok
 }
 
 // retireChain retires every node detached by a successful splice: the
@@ -444,7 +451,11 @@ func (t *Tree) insertAt(tid int, key int64) (bool, error) {
 			!t.s.WritePtr(tid, newInt, WRight, right) {
 			continue
 		}
-		leafWord := childWord(key, keyOf(t, tid, r.parent))
+		pkey, ok := keyOf(t, tid, r.parent)
+		if !ok {
+			continue
+		}
+		leafWord := childWord(key, pkey)
 		if !t.s.Reserve(tid, r.parent, r.leaf) {
 			continue
 		}
@@ -507,7 +518,11 @@ func (t *Tree) deleteAt(tid int, key int64) (bool, error) {
 			if r.leafKey != key {
 				return false, nil
 			}
-			leafWord := childWord(key, keyOf(t, tid, r.parent))
+			pkey, ok := keyOf(t, tid, r.parent)
+			if !ok {
+				continue
+			}
+			leafWord := childWord(key, pkey)
 			if !t.s.Reserve(tid, r.parent, r.leaf) {
 				continue
 			}

@@ -27,13 +27,27 @@ import (
 // heap sizes the experiments use (2^12 expected nodes per top-level link).
 const MaxHeight = 12
 
-// Node payload layout: word 0 key, word 1 tower height, words 2..2+h-1 the
-// per-level next references (level 0 at WLevel0).
+// Node payload layout: word 0 key, word 1 tower height plus the
+// retirement handshake bits, words 2..2+h-1 the per-level next
+// references (level 0 at WLevel0).
 const (
 	WHeight = 1
 	WLevel0 = 2
 	// PayloadWords is the arena payload size this structure requires.
 	PayloadWords = WLevel0 + MaxHeight
+)
+
+// The WHeight word's retirement handshake. An inserter may still be
+// linking a node's upper levels when a deleter has marked it and snipped
+// it, so the inserter can link a level behind the deleter's back. Each
+// side sets its bit when done — the inserter after its last link, the
+// deleter after its snip — and whichever sets its bit second retires the
+// node, the inserter after one more snipping find. A node is thus never
+// retired while a link to it can still appear.
+const (
+	heightMask = 0xff
+	linkDone   = 1 << 8
+	unlinkDone = 1 << 9
 )
 
 // List is the lock-free skip list set.
@@ -185,6 +199,12 @@ retry:
 				}
 				for succ.Marked() {
 					// curr is logically deleted at this level: snip it.
+					// The snip is a write: reserve its window first, so a
+					// concurrent reclaimer either sees pred, curr and succ
+					// reserved or neutralizes this traversal (NBR, PEBR).
+					if !l.s.Reserve(tid, pred, curr, succ.WithoutMark()) {
+						return false, stRestart, steps, restarts
+					}
 					swapped, ok := l.s.CASPtr(tid, pred, WLevel0+lv, curr, succ.WithoutMark())
 					if !ok {
 						return false, stRestart, steps, restarts
@@ -194,7 +214,7 @@ retry:
 						// it; if pred is still unmarked here, resume the walk
 						// at this level instead of redescending from the head.
 						restarts++
-						if l.Opt.HeadRestart {
+						if l.Opt.RestartAtHead() {
 							headRestarts++
 							continue retry
 						}
@@ -258,16 +278,27 @@ func (l *List) Contains(tid int, key int64) (bool, error) {
 // operation bracket for tid (per-op or a fused window).
 func (l *List) containsAt(tid int, key int64) (bool, error) {
 	var preds, succs [MaxHeight]mem.Ref
+	var spent uint64
+	return l.findRetry(tid, "contains", key, &preds, &succs, &spent)
+}
+
+// findRetry runs find in a fresh read phase until one attempt completes.
+// Every find of one operation draws on the operation's step budget
+// (*spent): a stale edge that rolls every traversal back, or a delete
+// that keeps rolling back, becomes a guard trip instead of a livelock.
+func (l *List) findRetry(tid int, op string, key int64, preds, succs *[MaxHeight]mem.Ref, spent *uint64) (bool, error) {
 	for {
 		l.Phase(tid, ds.PhaseRead)
-		found, st, steps, restarts := l.find(tid, key, &preds, &succs)
+		found, st, steps, restarts := l.find(tid, key, preds, succs)
 		if corrupt(st) {
-			return false, l.corruptErr("contains", st, steps, restarts)
+			return false, l.corruptErr(op, st, steps, restarts)
 		}
-		if st == stRestart {
-			continue
+		if *spent += steps; *spent > maxSteps {
+			return false, l.corruptErr(op, stCorruptRetry, *spent, restarts)
 		}
-		return found, nil
+		if st == stOK {
+			return found, nil
+		}
 	}
 }
 
@@ -289,14 +320,11 @@ func (l *List) insertAt(tid int, key int64) (bool, error) {
 	l.s.Write(tid, n, ds.WKey, uint64(key))
 	l.s.Write(tid, n, WHeight, uint64(height))
 	var preds, succs [MaxHeight]mem.Ref
+	var spent uint64
 	for {
-		l.Phase(tid, ds.PhaseRead)
-		found, st, steps, restarts := l.find(tid, key, &preds, &succs)
-		if corrupt(st) {
-			return false, l.corruptErr("insert", st, steps, restarts)
-		}
-		if st == stRestart {
-			continue
+		found, err := l.findRetry(tid, "insert", key, &preds, &succs, &spent)
+		if err != nil {
+			return false, err
 		}
 		if found {
 			l.s.Retire(tid, n) // lost the race: key already present
@@ -324,6 +352,13 @@ func (l *List) insertAt(tid int, key int64) (bool, error) {
 		// Linearized. Link the upper levels; abandon a level when the
 		// window moved or the node got deleted meanwhile.
 		l.linkUpper(tid, key, n, height, &preds, &succs)
+		if l.settle(tid, n, linkDone) {
+			// Deleted while linking: snip any late link, then retire.
+			if _, err := l.findRetry(tid, "insert", key, &preds, &succs, &spent); err != nil {
+				return false, err
+			}
+			l.s.Retire(tid, n)
+		}
 		return true, nil
 	}
 }
@@ -354,6 +389,12 @@ func (l *List) linkUpper(tid int, key int64, n mem.Ref, height int, preds, succs
 				// valid nodes that no validation catches.
 				return
 			}
+			// Reserve the level's window before its first write (n's own
+			// level link, then pred's).
+			if !l.s.Reserve(tid, preds[lv], n, succs[lv]) {
+				return
+			}
+			l.Phase(tid, ds.PhaseWrite)
 			if mem.Ref(cur) != succs[lv] {
 				swapped, ok := l.s.CASPtr(tid, n, WLevel0+lv, mem.Ref(cur), succs[lv])
 				if !ok {
@@ -363,10 +404,6 @@ func (l *List) linkUpper(tid int, key int64, n mem.Ref, height int, preds, succs
 					continue
 				}
 			}
-			if !l.s.Reserve(tid, preds[lv], n, succs[lv]) {
-				return
-			}
-			l.Phase(tid, ds.PhaseWrite)
 			swapped, ok := l.s.CASPtr(tid, preds[lv], WLevel0+lv, succs[lv], n)
 			if !ok {
 				return
@@ -382,6 +419,26 @@ func (l *List) linkUpper(tid int, key int64, n mem.Ref, height int, preds, succs
 	}
 }
 
+// settle sets bit in n's handshake word and reports whether the other
+// side's bit was already set: the caller then owns n's retirement. n is
+// never retired before both bits are set, so it cannot be reclaimed
+// under these accesses and a rolled-back read simply retries. Should n
+// be gone anyway (a scheme that reclaimed it early), settle gives up and
+// leaves it alone rather than spin or retire it twice.
+func (l *List) settle(tid int, n mem.Ref, bit uint64) bool {
+	other := uint64(linkDone|unlinkDone) &^ bit
+	for i := 0; i < maxSteps && l.A.Valid(n); i++ {
+		h, ok := l.s.Read(tid, n, WHeight)
+		if !ok {
+			continue
+		}
+		if swapped, ok := l.s.CAS(tid, n, WHeight, h, h|bit); ok && swapped {
+			return h&other != 0
+		}
+	}
+	return false
+}
+
 // Delete implements ds.Set: mark the victim's levels top-down (level 0
 // last — that CAS is the linearization point and establishes retirement
 // ownership), then re-find to snip it everywhere and retire.
@@ -394,14 +451,12 @@ func (l *List) Delete(tid int, key int64) (bool, error) {
 // deleteAt is Delete without the bracket.
 func (l *List) deleteAt(tid int, key int64) (bool, error) {
 	var preds, succs [MaxHeight]mem.Ref
+	var spent uint64
+retry:
 	for {
-		l.Phase(tid, ds.PhaseRead)
-		found, st, steps, restarts := l.find(tid, key, &preds, &succs)
-		if corrupt(st) {
-			return false, l.corruptErr("delete", st, steps, restarts)
-		}
-		if st == stRestart {
-			continue
+		found, err := l.findRetry(tid, "delete", key, &preds, &succs, &spent)
+		if err != nil {
+			return false, err
 		}
 		if !found {
 			return false, nil
@@ -411,7 +466,7 @@ func (l *List) deleteAt(tid int, key int64) (bool, error) {
 		if !ok {
 			continue
 		}
-		height := int(h)
+		height := int(h & heightMask)
 		if height < 1 || height > MaxHeight {
 			return false, ds.ErrCorrupted
 		}
@@ -419,18 +474,29 @@ func (l *List) deleteAt(tid int, key int64) (bool, error) {
 			continue
 		}
 		l.Phase(tid, ds.PhaseWrite)
-		// Mark upper levels (best-effort; others may also be marking).
+		// Mark upper levels (others may also be marking). Every level
+		// must end up marked before level 0 is: an unmarked upper link
+		// is never snipped, and the victim would be retired while still
+		// reachable. A rollback therefore restarts the whole delete.
+		// Marks use a plain CAS, not CASPtr: they install no new target,
+		// and a level the inserter abandoned before linking may still
+		// point at a node reclaimed since — a link-target check would
+		// refuse that mark forever.
 		for lv := height - 1; lv >= 1; lv-- {
 			for {
 				nxt, ok := l.s.Read(tid, victim, WLevel0+lv)
 				if !ok {
-					break
+					continue retry
 				}
 				r := mem.Ref(nxt)
 				if r.Marked() {
 					break
 				}
-				if swapped, ok := l.s.CASPtr(tid, victim, WLevel0+lv, r, r.WithMark()); !ok || swapped {
+				swapped, ok := l.s.CAS(tid, victim, WLevel0+lv, uint64(r), uint64(r.WithMark()))
+				if !ok {
+					continue retry
+				}
+				if swapped {
 					break
 				}
 			}
@@ -446,16 +512,20 @@ func (l *List) deleteAt(tid int, key int64) (bool, error) {
 				// Someone else linearized the delete.
 				break
 			}
-			swapped, ok := l.s.CASPtr(tid, victim, WLevel0, r, r.WithMark())
+			swapped, ok := l.s.CAS(tid, victim, WLevel0, uint64(r), uint64(r.WithMark()))
 			if !ok {
 				break
 			}
 			if swapped {
-				// We own the deletion: snip everywhere, then retire.
-				if _, st, steps, restarts := l.find(tid, key, &preds, &succs); corrupt(st) {
-					return false, l.corruptErr("delete", st, steps, restarts)
+				// We own the deletion: snip everywhere, then retire. A
+				// rolled-back find may have left the victim linked, so
+				// it reruns until one completes.
+				if _, err := l.findRetry(tid, "delete", key, &preds, &succs, &spent); err != nil {
+					return false, err
 				}
-				l.s.Retire(tid, victim)
+				if l.settle(tid, victim, unlinkDone) {
+					l.s.Retire(tid, victim)
+				}
 				return true, nil
 			}
 		}

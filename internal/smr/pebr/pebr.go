@@ -53,6 +53,7 @@ type PEBR struct {
 	epoch    atomic.Uint64
 	announce []announcement
 	eject    []ejectState
+	wide     smr.WideCAS
 }
 
 var _ smr.Scheme = (*PEBR)(nil)
@@ -170,7 +171,7 @@ func (p *PEBR) scan(tid int) {
 	kept := (*l)[:0]
 	for _, r := range *l {
 		if p.Arena.MetaLoad(r.Slot(), smr.MetaRetire)+2 <= cur {
-			_ = p.Arena.Reclaim(tid, r)
+			_ = p.wide.Reclaim(p.Arena, tid, r)
 		} else {
 			kept = append(kept, r)
 		}
@@ -224,26 +225,21 @@ func (p *PEBR) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
 // CAS implements smr.Scheme; updates through invalid references fail and
 // roll back.
 func (p *PEBR) CAS(tid int, r mem.Ref, w int, old, new uint64) (bool, bool) {
-	swapped, err := p.Arena.CAS(tid, r.WithoutMark(), w, old, new)
-	if err != nil {
+	swapped, ok := p.wide.CAS(p.Arena, tid, r, w, old, new, mem.NilRef)
+	if !ok {
 		p.S.Restarts.Add(1)
-		return false, false
 	}
-	return swapped, true
+	return swapped, ok
 }
 
 // CASPtr implements smr.Scheme. Like VBR, a post-ejection link must not
 // publish a reference whose target was reclaimed between read and link
-// (it would leave a permanently stale edge); validate after the swap and
-// undo on failure.
+// (it would leave a permanently stale edge); smr.WideCAS validates the
+// target atomically with the swap.
 func (p *PEBR) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) {
-	swapped, ok := p.CAS(tid, r, w, uint64(old), uint64(new))
-	if swapped && ok {
-		if t := new.Bare(); !t.IsNil() && !p.Arena.Valid(t) {
-			_, _ = p.Arena.CAS(tid, r.WithoutMark(), w, uint64(new), uint64(old))
-			p.S.Restarts.Add(1)
-			return false, false
-		}
+	swapped, ok := p.wide.CAS(p.Arena, tid, r, w, uint64(old), uint64(new), new)
+	if !ok {
+		p.S.Restarts.Add(1)
 	}
 	return swapped, ok
 }

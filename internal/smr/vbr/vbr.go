@@ -12,9 +12,9 @@
 //
 // In the simulation the arena's tagged references *are* the version
 // mechanism: the tag is the node version, reads through stale tags return
-// mem.ErrInvalid, and the arena's CAS refuses updates through invalid
-// references (standing in for the wide CAS the real scheme needs — see
-// DESIGN.md). This gives VBR the strongest robustness in the repository
+// mem.ErrInvalid, and updates go through smr.WideCAS, which refuses
+// updates through invalid references or installing invalid targets
+// (standing in for the wide CAS the real scheme needs — see DESIGN.md). This gives VBR the strongest robustness in the repository
 // (the retired backlog never exceeds the retire-list threshold per thread)
 // and wide applicability, at the price of rollbacks: it is not easily
 // integrated per Definition 5.3.
@@ -28,6 +28,7 @@ import (
 // VBR is the version-based reclamation scheme.
 type VBR struct {
 	smr.Base
+	wide smr.WideCAS
 }
 
 var _ smr.Scheme = (*VBR)(nil)
@@ -79,7 +80,7 @@ func (v *VBR) Flush(tid int) {
 	l := &v.Lists[tid].Refs
 	v.NoteScan(tid, len(*l), len(*l))
 	for _, r := range *l {
-		_ = v.Arena.Reclaim(tid, r)
+		_ = v.wide.Reclaim(v.Arena, tid, r)
 	}
 	*l = (*l)[:0]
 }
@@ -120,12 +121,11 @@ func (v *VBR) WritePtr(tid int, r mem.Ref, w int, val mem.Ref) bool {
 // CAS implements smr.Scheme. An update through an invalid reference is
 // guaranteed to fail (the version check); the operation rolls back.
 func (v *VBR) CAS(tid int, r mem.Ref, w int, old, new uint64) (bool, bool) {
-	swapped, err := v.Arena.CAS(tid, r.WithoutMark(), w, old, new)
-	if err != nil {
+	swapped, ok := v.wide.CAS(v.Arena, tid, r, w, old, new, mem.NilRef)
+	if !ok {
 		v.S.Restarts.Add(1)
-		return false, false
 	}
-	return swapped, true
+	return swapped, ok
 }
 
 // CASPtr implements smr.Scheme. Beyond CAS's version check on the *source*
@@ -133,16 +133,11 @@ func (v *VBR) CAS(tid int, r mem.Ref, w int, old, new uint64) (bool, bool) {
 // a reference and linking it, the target may have been reclaimed, and
 // publishing such a reference would leave a permanently stale edge that
 // livelocks every traversal crossing it. The real scheme's wide CAS covers
-// the target's version atomically; the simulation validates after the swap
-// and undoes on failure (a best-effort stand-in — see DESIGN.md).
+// the target's version atomically; so does smr.WideCAS.
 func (v *VBR) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) {
-	swapped, ok := v.CAS(tid, r, w, uint64(old), uint64(new))
-	if swapped && ok {
-		if t := new.Bare(); !t.IsNil() && !v.Arena.Valid(t) {
-			_, _ = v.Arena.CAS(tid, r.WithoutMark(), w, uint64(new), uint64(old))
-			v.S.Restarts.Add(1)
-			return false, false
-		}
+	swapped, ok := v.wide.CAS(v.Arena, tid, r, w, uint64(old), uint64(new), new)
+	if !ok {
+		v.S.Restarts.Add(1)
 	}
 	return swapped, ok
 }

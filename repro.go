@@ -22,15 +22,14 @@
 //   - monitors and checkers for each formal definition, assembled into
 //     the ERA matrix whose empty all-yes row is Theorem 6.1.
 //
-// This facade re-exports the user-facing surface; the implementation
-// lives in the internal packages (see DESIGN.md for the inventory).
+// This facade re-exports the surface the tests, README and examples use;
+// the implementation lives in the internal packages (see DESIGN.md for
+// the inventory).
 package repro
 
 import (
 	"io"
-	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/bench"
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -39,13 +38,10 @@ import (
 	"repro/internal/ds/registry"
 	"repro/internal/exec"
 	"repro/internal/mem"
-	"repro/internal/obs"
-	"repro/internal/obs/rec"
 	"repro/internal/resil"
 	"repro/internal/smr"
 	"repro/internal/smr/all"
 	"repro/internal/store"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -55,16 +51,8 @@ type Heap = mem.Arena
 // HeapConfig configures a Heap.
 type HeapConfig = mem.Config
 
-// Ref is a tagged node reference.
-type Ref = mem.Ref
-
-// Reclaim modes: Reuse recycles slots in program space; Unmap returns
-// them to system space, turning dangling accesses into simulated
-// segmentation faults.
-const (
-	Reuse = mem.Reuse
-	Unmap = mem.Unmap
-)
+// Reuse is the reclaim mode that recycles freed slots in program space.
+const Reuse = mem.Reuse
 
 // NewHeap builds a heap. Pass MetaWords: repro.SchemeMetaWords so any
 // scheme can attach its per-node metadata.
@@ -77,9 +65,6 @@ const SchemeMetaWords = smr.MetaWords
 // Scheme is the uniform SMR interface of Definition 5.3: begin/end
 // brackets, alloc/retire replacements, and guarded primitive accesses.
 type Scheme = smr.Scheme
-
-// SchemeProps is a scheme's static property sheet.
-type SchemeProps = smr.Props
 
 // NewScheme builds the named scheme ("ebr", "qsbr", "hp", "ibr", "he",
 // "vbr", "nbr", "rc", "none", "unsafefree") over heap h for n threads.
@@ -133,29 +118,31 @@ func RunFigure2(scheme string) (*AdversaryOutcome, error) {
 	return adversary.Figure2(scheme, mem.Unmap)
 }
 
-// WorkloadNames lists the registered key distributions.
-func WorkloadNames() []string { return workload.DistNames() }
+// ERAMatrix is the assembled two-of-three matrix.
+type ERAMatrix = core.Matrix
 
-// ScheduleNames lists the registered op-mix schedules.
-func ScheduleNames() []string { return workload.ScheduleNames() }
+// BuildERAMatrix measures every scheme and assembles the matrix;
+// TheoremHolds() reports the paper's main claim.
+func BuildERAMatrix(figureK int) (ERAMatrix, error) { return core.BuildMatrix(figureK) }
 
-// BenchConfig sizes a throughput run; Workload and Schedule select the
-// scenario by name.
-type BenchConfig = bench.ThroughputConfig
-
-// BenchRow is one throughput measurement with latency percentiles.
-type BenchRow = bench.ThroughputRow
-
-// RunThroughput measures one (scheme, structure) pair under the configured
-// workload.
-func RunThroughput(scheme, structure string, cfg BenchConfig) (BenchRow, error) {
-	return bench.Throughput(scheme, structure, cfg)
+// WriteExperiments renders the ERA matrix and the stalled-reader space
+// bounds to w.
+func WriteExperiments(w io.Writer, figureK int) error {
+	if err := bench.MatrixReport(w, figureK); err != nil {
+		return err
+	}
+	rows, err := bench.SpaceSweep(figureK)
+	if err != nil {
+		return err
+	}
+	bench.WriteSpaceTable(w, rows)
+	return nil
 }
 
-// WriteBenchArtifact emits rows as the machine-readable JSON benchmark
-// artifact format (BENCH_*.json).
-func WriteBenchArtifact(w io.Writer, experiment string, rows []BenchRow) error {
-	return bench.WriteJSONReport(w, experiment, rows)
+// WriteArtifact emits a measurement as the BENCH_*.json artifact
+// envelope every command writes: experiment, host, config, rows, gates.
+func WriteArtifact(w io.Writer, experiment string, config, rows any, gates map[string]bool) error {
+	return bench.WriteArtifact(w, experiment, config, rows, gates)
 }
 
 // Store is the sharded multi-tenant key-value service: keys hash across
@@ -170,25 +157,10 @@ type StoreConfig = store.Config
 // StoreShardSpec configures one shard (scheme, structure, workers).
 type StoreShardSpec = store.ShardSpec
 
-// StoreOp is one batched service operation; StoreResult its outcome.
-type StoreOp = store.Op
-
-// StoreResult is one service operation's outcome.
-type StoreResult = store.Result
-
-// StoreStats is the aggregated service-level counter view.
-type StoreStats = store.Stats
-
-// Submission errors of the service layer.
-var (
-	ErrStoreClosed = store.ErrClosed
-	ErrShardClosed = store.ErrShardClosed
-)
+// ErrStoreClosed is the submission error of a closed store.
+var ErrStoreClosed = store.ErrClosed
 
 // NewStore builds the sharded service and starts its shard workers.
-// Store.MigrateShard live-migrates a shard onto a different reclamation
-// scheme (drain, snapshot, rebuild, replay, swap) — the primitive the
-// adaptive controller drives.
 func NewStore(cfg StoreConfig) (*Store, error) { return store.New(cfg) }
 
 // UniformShards builds the homogeneous n-shard spec list.
@@ -205,107 +177,42 @@ type ServiceResult = bench.ServiceResult
 // (the eraserve command is a thin wrapper over this).
 func RunService(cfg ServiceConfig) (ServiceResult, error) { return bench.RunService(cfg) }
 
-// WriteServiceArtifact emits the service measurement as the
-// machine-readable BENCH_service.json artifact format.
-func WriteServiceArtifact(w io.Writer, res ServiceResult) error {
-	return bench.WriteServiceReport(w, res)
-}
-
 // Executor is the pipelined scatter-gather execution layer over a Store:
 // cross-shard multi-key and range requests compile into per-shard
-// scatter legs, submit asynchronously (no goroutine blocks per in-flight
-// leg), and merge deterministically on the shard worker that completes
-// the last leg. Verdict-driven admission control queues or sheds legs
-// bound for degraded shards, and a per-leg completion budget turns a
-// fault-parked shard into typed partial results instead of a hung
-// request (see internal/exec).
+// scatter legs, submit asynchronously, and merge deterministically, with
+// typed partial results for failed legs (see internal/exec).
 type Executor = exec.Executor
 
 // ExecConfig assembles an Executor: queue depth, pump pool, leg budget,
 // admission signal, and flight-recorder wiring.
 type ExecConfig = exec.Config
 
-// ExecHandle is an in-flight cross-shard request: Done/Wait/Result for
-// completion, with the merged ExecResult carrying per-key outcomes and
-// typed per-shard partial failures.
-type ExecHandle = exec.Handle
-
-// ExecResult is a merged scatter-gather outcome. Partial() reports
-// whether any leg failed wholesale; ShardErrs carries the typed
-// per-shard reasons.
-type ExecResult = exec.Result
-
-// ExecShardError is one shard leg's typed failure; errors.Is matches
-// ErrExecShed / ErrExecLegStalled through it.
-type ExecShardError = exec.ShardError
-
-// ExecStats is the executor's service counters: submitted, completed,
-// partial, plus per-shard scatter/queue/shed/timeout accounting.
-type ExecStats = exec.Stats
-
-// Executor-layer sentinel errors.
-var (
-	ErrExecClosed     = exec.ErrClosed
-	ErrExecShed       = exec.ErrShed
-	ErrExecLegStalled = exec.ErrLegStalled
-)
+// ErrExecClosed is the submission error of a closed executor.
+var ErrExecClosed = exec.ErrClosed
 
 // NewExecutor builds the scatter-gather layer over a running store.
 func NewExecutor(st *Store, cfg ExecConfig) (*Executor, error) { return exec.New(st, cfg) }
-
-// ExecVerdictAdmission adapts a telemetry monitor into the executor's
-// admission signal: a shard whose live robustness verdict degrades stops
-// receiving blocking backpressure and starts queueing or shedding.
-// Assign one to ExecConfig.Admission.
-type ExecVerdictAdmission = exec.VerdictAdmission
 
 // PipelineConfig sizes the pipelined-execution experiment: the blocking
 // vs pipelined A/B plus the partial-failure chaos campaign.
 type PipelineConfig = bench.PipelineConfig
 
 // PipelineResult is the experiment outcome: both arm rows, the chaos
-// campaign row, and the headline verdicts (pipelined beats blocking,
-// partial-failure chains closed).
+// campaign row, and the headline verdicts.
 type PipelineResult = bench.PipelineResult
 
-// RunPipeline runs the pipelined-execution experiment (the erabench
-// -exp pipeline experiment is a thin wrapper over this).
+// RunPipeline runs the pipelined-execution experiment.
 func RunPipeline(cfg PipelineConfig) (PipelineResult, error) { return bench.RunPipeline(cfg) }
 
-// WritePipelineArtifact emits the experiment as the machine-readable
-// BENCH_pipeline.json artifact format.
-func WritePipelineArtifact(w io.Writer, res PipelineResult) error {
-	return bench.WritePipelineReport(w, res)
-}
-
 // ResilClient is the resilience policy layer over one executor:
-// typed-error-aware retries under a store-wide budget, hedged legs at a
-// live-tracked quantile delay, verdict-fed per-shard circuit breakers,
-// and a settled-leg latency feed for SLO verdicts (see internal/resil).
+// typed-error-aware retries under a store-wide budget, hedged legs,
+// verdict-fed per-shard circuit breakers, and a settled-leg latency feed
+// for SLO verdicts (see internal/resil).
 type ResilClient = resil.Client
 
 // ResilConfig assembles a ResilClient: retry shape and budget, hedge
 // quantile, breaker thresholds, verdict feed, and recorder wiring.
 type ResilConfig = resil.Config
-
-// ResilStats is the client's resilience ledger: retries, recoveries,
-// budget refusals, hedges and wasted work, per-shard breaker snapshots,
-// with Amplification() as the dispatched-over-offered ratio.
-type ResilStats = resil.Stats
-
-// BreakerState is a per-shard circuit breaker's position
-// (closed/open/half-open); BreakerStats one shard's breaker snapshot.
-type BreakerState = resil.BreakerState
-
-type BreakerStats = resil.BreakerStats
-
-// RetryError wraps a shard's final error after the retry policy gave
-// up; errors.Is/As keep matching the underlying typed failure through
-// it.
-type RetryError = resil.RetryError
-
-// ErrBreakerOpen is the typed fast-fail an open breaker answers with.
-var ErrBreakerOpen = resil.ErrBreakerOpen
 
 // NewResilClient wraps a running store's scatter-gather path in the
 // resilience policies.
@@ -313,25 +220,11 @@ func NewResilClient(st *Store, execCfg ExecConfig, cfg ResilConfig) (*ResilClien
 	return resil.New(st, execCfg, cfg)
 }
 
-// ResilConfigExp sizes the resilience experiment: the naive vs
-// resilient goodput arms under staggered chaos, the hedged-tail pulse
-// pass, and the amplification bound.
-type ResilConfigExp = bench.ResilConfig
+// Req is one cross-shard request, as ResilClient.Do takes it.
+type Req = workload.Req
 
-// ResilResult is the experiment outcome: both arm rows, the hedge rows,
-// and the headline verdicts (goodput recovered, hedges bound the tail,
-// amplification bounded).
-type ResilResult = bench.ResilResult
-
-// RunResil runs the resilience experiment (the erabench -exp resil
-// experiment is a thin wrapper over this).
-func RunResil(cfg ResilConfigExp) (ResilResult, error) { return bench.RunResil(cfg) }
-
-// WriteResilArtifact emits the experiment as the machine-readable
-// BENCH_resil.json artifact format.
-func WriteResilArtifact(w io.Writer, res ResilResult) error {
-	return bench.WriteResilReport(w, res)
-}
+// ReqMultiGet is the multi-key lookup request kind.
+const ReqMultiGet = workload.ReqMultiGet
 
 // ChaosConfig sizes the chaos-injection robustness audit: a gated store
 // with one shard per scheme, fault injection on a schedule, and telemetry
@@ -343,278 +236,9 @@ type ChaosConfig = bench.ChaosConfig
 // and the client-side aggregate.
 type ChaosResult = bench.ChaosResult
 
-// ChaosRow is one scheme shard's verdict: declared robustness class
-// versus the class its faulted telemetry evidences.
-type ChaosRow = bench.ChaosRow
-
 // RunChaos runs the chaos experiment (the erachaos command is a thin
 // wrapper over this).
 func RunChaos(cfg ChaosConfig) (ChaosResult, error) { return bench.RunChaos(cfg) }
 
-// WriteChaosArtifact emits the audit as the machine-readable
-// BENCH_chaos.json artifact format.
-func WriteChaosArtifact(w io.Writer, res ChaosResult) error {
-	return bench.WriteChaosReport(w, res)
-}
-
 // FaultNames lists the registered chaos faults.
 func FaultNames() []string { return chaos.Names() }
-
-// TelemetryMonitor is the online robustness classifier: feed it sampled
-// points (wire Monitor.Observe as the sampler's OnSample hook) and read
-// live per-domain verdicts mid-run (see internal/telemetry).
-type TelemetryMonitor = telemetry.Monitor
-
-// TelemetryDomain describes one monitored domain for the classifier.
-type TelemetryDomain = telemetry.Domain
-
-// NewTelemetryMonitor builds the online classifier over the domains.
-func NewTelemetryMonitor(window int, domains []TelemetryDomain) *TelemetryMonitor {
-	return telemetry.NewMonitor(telemetry.MonitorConfig{Window: window}, domains)
-}
-
-// AdaptConfig tunes the adaptive-reclamation controller: the migration
-// ladder, decision cadence, and hysteresis (see internal/adapt).
-type AdaptConfig = adapt.Config
-
-// AdaptEpisode is one recorded live migration decision.
-type AdaptEpisode = adapt.Episode
-
-// AdaptController walks each store shard along a scheme ladder as its
-// live robustness verdicts demand.
-type AdaptController = adapt.Controller
-
-// NewAdaptController builds the controller over a store and the monitor
-// watching it (monitor domain i must describe store shard i).
-func NewAdaptController(cfg AdaptConfig, st *Store, mon *TelemetryMonitor) (*AdaptController, error) {
-	return adapt.New(cfg, st, mon)
-}
-
-// AdaptiveConfig sizes the static-vs-adaptive reclamation experiment.
-type AdaptiveConfig = bench.AdaptiveConfig
-
-// AdaptiveResult is the experiment outcome: the static control arm, the
-// adaptive arm with its migration episode log, and the headline
-// comparison.
-type AdaptiveResult = bench.AdaptiveResult
-
-// RunAdaptive runs the static control and the adaptive arm back to back
-// under the configured chaos faults (the erabench -exp adaptive
-// experiment is a thin wrapper over this).
-func RunAdaptive(cfg AdaptiveConfig) (AdaptiveResult, error) { return bench.RunAdaptive(cfg) }
-
-// WriteAdaptiveArtifact emits the experiment as the machine-readable
-// BENCH_adaptive.json artifact format.
-func WriteAdaptiveArtifact(w io.Writer, res AdaptiveResult) error {
-	return bench.WriteAdaptiveReport(w, res)
-}
-
-// SetIterator is the optional O(live-keys) iteration surface every
-// registry set structure implements: a quiescent shard enumerates its
-// exact contents, a concurrently-mutated one every persistently-present
-// key, and no key is ever reported twice in a pass (see internal/ds).
-// Store migration snapshots run on it.
-type SetIterator = ds.Iterator
-
-// TravSnapshot is a structure's traversal-counter snapshot: steps,
-// restarts (head restarts separately), step-budget guard trips, and the
-// worst single-operation traversal.
-type TravSnapshot = ds.TravSnapshot
-
-// ErrTraversalGuard is the sentinel inside the typed error a traversal
-// returns after exhausting its step budget (a livelocked or corrupted
-// walk made detectable instead of a hang).
-var ErrTraversalGuard = ds.ErrTraversalGuard
-
-// TraverseConfig sizes the traversal hot-path experiment: the
-// head-restart vs bounded-restart churn storm and the Contains-scan vs
-// iterator migration-snapshot pair.
-type TraverseConfig = bench.TraverseConfig
-
-// TraverseResult is the experiment outcome: both storm arms, both
-// snapshot arms, and the headline swap-window improvement.
-type TraverseResult = bench.TraverseResult
-
-// RunTraverse runs the traversal experiment (the erabench -exp traverse
-// experiment is a thin wrapper over this).
-func RunTraverse(cfg TraverseConfig) (TraverseResult, error) { return bench.RunTraverse(cfg) }
-
-// WriteTraverseArtifact emits the experiment as the machine-readable
-// BENCH_traverse.json artifact format.
-func WriteTraverseArtifact(w io.Writer, res TraverseResult) error {
-	return bench.WriteTraverseReport(w, res)
-}
-
-// FusedWindow is the amortized SMR bracket: BeginFusedOps announces the
-// bracket once, Step renews it every DefaultFusedWindow ops (reporting
-// true when the caller must invalidate cached position), EndOps closes
-// it. Between renewals a window pins at most one reclamation epoch — the
-// same bound the per-op bracket gives, paid once per window instead of
-// once per operation (see internal/smr).
-type FusedWindow = smr.Window
-
-// DefaultFusedWindow is the re-bracket cadence Step applies when
-// BeginFusedOps is given a non-positive window.
-const DefaultFusedWindow = smr.DefaultWindow
-
-// BeginFusedOps opens an amortized bracket on scheme s for thread tid,
-// renewing every k ops (k <= 0 selects DefaultFusedWindow).
-func BeginFusedOps(s Scheme, tid, k int) FusedWindow { return smr.BeginOps(s, tid, k) }
-
-// BatchSet is the optional fused-execution surface a registry set
-// structure implements: ApplyBatch serves a key-sorted run of point ops
-// under one amortized bracket, reusing validated list position across
-// consecutive ops (see internal/ds).
-type BatchSet = ds.BatchSet
-
-// BatchSetOp is one fused point operation; BatchSetResult its outcome.
-type BatchSetOp = ds.BatchOp
-
-// BatchSetResult is one fused point operation's outcome.
-type BatchSetResult = ds.BatchResult
-
-// BatchSetKind selects a fused op's verb.
-type BatchSetKind = ds.BatchKind
-
-// Fused op verbs, mirroring the workload encoding.
-const (
-	BatchContains = ds.BatchContains
-	BatchInsert   = ds.BatchInsert
-	BatchDelete   = ds.BatchDelete
-)
-
-// RecycleScanKeys returns a scan-result key buffer to the store's pool
-// once the caller is done with it, keeping repeated range traffic off
-// the allocator (see internal/store).
-func RecycleScanKeys(keys []int64) { store.RecycleScanKeys(keys) }
-
-// BatchConfig sizes the batch-fusion experiment: fused vs per-op-bracket
-// arms across schemes and batch sizes, the zero-alloc spine count, and
-// the parked-worker backlog comparison.
-type BatchConfig = bench.BatchConfig
-
-// BatchResult is the experiment outcome: per-arm rows, the allocs/call
-// measurement, the backlog pairs, and the headline verdicts (fused beats
-// serial, zero-alloc spine, backlog bounded).
-type BatchResult = bench.BatchResult
-
-// RunBatch runs the batch-fusion experiment (the erabench -exp batch
-// experiment is a thin wrapper over this).
-func RunBatch(cfg BatchConfig) (BatchResult, error) { return bench.RunBatch(cfg) }
-
-// WriteBatchArtifact emits the experiment as the machine-readable
-// BENCH_batch.json artifact format.
-func WriteBatchArtifact(w io.Writer, res BatchResult) error {
-	return bench.WriteBatchReport(w, res)
-}
-
-// RobustnessVerdict audits a sampled backlog series against a declared
-// robustness class (see internal/telemetry): points are fitted from
-// sampler-relative elapsed time `from` onward against the budget of a
-// healthy domain.
-func RobustnessVerdict(scheme string, declared smr.RobustnessClass, points []TelemetryPoint, from time.Duration, budget TelemetryBudget) telemetry.Verdict {
-	return telemetry.Audit(scheme, declared, points, from, budget)
-}
-
-// TelemetryPoint is one sampled gauge observation.
-type TelemetryPoint = telemetry.Point
-
-// TelemetryBudget frames what "bounded" means for a fit (threads ×
-// retire-scan threshold).
-type TelemetryBudget = telemetry.Budget
-
-// ERAMatrix is the assembled two-of-three matrix.
-type ERAMatrix = core.Matrix
-
-// BuildERAMatrix measures every scheme and assembles the matrix;
-// TheoremHolds() reports the paper's main claim.
-func BuildERAMatrix(figureK int) (ERAMatrix, error) { return core.BuildMatrix(figureK) }
-
-// Recorder is the low-overhead flight recorder: a striped fixed-capacity
-// ring of typed events on one shared run clock, with drop-counted
-// overflow (see internal/obs/rec). Hand it to StoreConfig.Recorder,
-// chaos engines, samplers, and controllers so every layer writes onto
-// the same tape.
-type Recorder = rec.Recorder
-
-// RecorderEvent is one typed flight-recorder event.
-type RecorderEvent = rec.Event
-
-// RecorderClock is the shared monotonic run clock recorder events are
-// stamped against.
-type RecorderClock = rec.Clock
-
-// NewRecorder builds a flight recorder stamping events against clock
-// (nil starts a fresh run clock) and holding up to perStripe events in
-// each of its stripes (perStripe <= 0 selects the default capacity).
-func NewRecorder(clock *RecorderClock, perStripe int) *Recorder {
-	return rec.NewRecorder(clock, perStripe)
-}
-
-// NewRecorderClock starts a run clock at time zero = now.
-func NewRecorderClock() *RecorderClock { return rec.NewClock() }
-
-// ObsRegistry names the live components the observability plane exposes;
-// any field may be nil.
-type ObsRegistry = obs.Registry
-
-// ObsServer is a running observability HTTP server.
-type ObsServer = obs.Server
-
-// ServeObs serves the observability plane — Prometheus text on /metrics,
-// the flight-recorder stream on /timeline, live profiling under
-// /debug/pprof/ — on addr until Close.
-func ServeObs(addr string, reg *ObsRegistry) (*ObsServer, error) { return obs.Serve(addr, reg) }
-
-// ObsIncident is one fault's causal chain: fault fired → backlog
-// inflection → verdict flip → migration start/swap → heal, with the
-// detection and reaction latencies derived from it.
-type ObsIncident = obs.Incident
-
-// ObsTimeline is the joined per-shard incident view of a recorded run.
-type ObsTimeline = obs.Timeline
-
-// BuildObsTimeline joins a flight-recorder tape and sampled gauge series
-// into per-shard incident timelines.
-func BuildObsTimeline(events []RecorderEvent, series map[int][]TelemetryPoint, elapsed time.Duration) ObsTimeline {
-	return obs.BuildTimeline(events, series, elapsed)
-}
-
-// ObsConfig sizes the observability experiment: a faulted adaptive run
-// with the flight recorder on, joined into causal timelines, plus the
-// recorder-on vs recorder-off overhead comparison.
-type ObsConfig = bench.ObsConfig
-
-// ObsResult is the experiment outcome: the timeline, SLO and sampler
-// health snapshots, the raw tape, and the overhead verdict.
-type ObsResult = bench.ObsResult
-
-// RunObs runs the observability experiment (the erabench -exp obs
-// experiment is a thin wrapper over this).
-func RunObs(cfg ObsConfig) (ObsResult, error) { return bench.RunObs(cfg) }
-
-// WriteObsArtifact emits the experiment as the machine-readable
-// BENCH_obs.json artifact format.
-func WriteObsArtifact(w io.Writer, res ObsResult) error {
-	return bench.WriteObsReport(w, res)
-}
-
-// WriteObsTrace emits the recorded run as a Chrome trace-event file
-// (load it in chrome://tracing or Perfetto).
-func WriteObsTrace(w io.Writer, res ObsResult) error {
-	return bench.WriteObsTrace(w, res)
-}
-
-// WriteExperiments runs the full experiment suite to w (the erabench
-// command is a thin wrapper over this).
-func WriteExperiments(w io.Writer, figureK int) error {
-	if err := bench.MatrixReport(w, figureK); err != nil {
-		return err
-	}
-	rows, err := bench.SpaceSweep(figureK)
-	if err != nil {
-		return err
-	}
-	bench.WriteSpaceTable(w, rows)
-	return nil
-}

@@ -153,7 +153,7 @@ func TestFacadeStore(t *testing.T) {
 		t.Fatalf("service: ops=%d shards=%d", res.Aggregate.Ops, len(res.PerShard))
 	}
 	var sb strings.Builder
-	if err := repro.WriteServiceArtifact(&sb, res); err != nil {
+	if err := repro.WriteArtifact(&sb, "service", nil, res, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `"experiment": "service"`) {
@@ -228,7 +228,7 @@ func TestFacadeExec(t *testing.T) {
 		t.Fatalf("pipeline experiment: %+v", pres)
 	}
 	var sb strings.Builder
-	if err := repro.WritePipelineArtifact(&sb, pres); err != nil {
+	if err := repro.WriteArtifact(&sb, "pipeline", nil, pres, pres.Gates()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `"experiment": "pipeline"`) {
@@ -262,7 +262,7 @@ func TestFacadeChaos(t *testing.T) {
 			res.Rows[0].Audited, res.Rows[1].Audited)
 	}
 	var sb strings.Builder
-	if err := repro.WriteChaosArtifact(&sb, res); err != nil {
+	if err := repro.WriteArtifact(&sb, "chaos", nil, res, res.Gates()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `"experiment": "chaos"`) {
