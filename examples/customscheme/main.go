@@ -115,7 +115,7 @@ func (d *Deferred) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bo
 }
 
 // Reserve implements smr.Scheme.
-func (d *Deferred) Reserve(tid int, refs ...mem.Ref) bool { return true }
+func (d *Deferred) Reserve(tid int, refs smr.Reservation) bool { return true }
 
 func main() {
 	// 1. Classify integration from the property sheet (Definition 5.3).

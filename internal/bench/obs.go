@@ -94,10 +94,12 @@ type ObsConfig struct {
 }
 
 // scanEventsPerSec is the per-stripe event rate the default recorder
-// capacity provisions for. SMR scan events dominate the tape; a faulted
-// two-shard fleet on a contended 2-core box peaks near 40k per shard
-// per second, so this leaves about 1.6x headroom.
-const scanEventsPerSec = 1 << 16
+// capacity provisions for. SMR scan events dominate the tape, and their
+// rate follows op throughput: while a stalled thread pins EBR every
+// retire past the threshold scans. With hash buckets sized to the key
+// space a faulted two-shard fleet on a contended 2-core box peaks near
+// 75k per shard per second, so this leaves about 1.7x headroom.
+const scanEventsPerSec = 1 << 17
 
 func (cfg *ObsConfig) fill() {
 	if cfg.Shards <= 0 {

@@ -142,6 +142,11 @@ type Options struct {
 	// arm of EXP-TRAVERSE and for bisecting traversal regressions; leave
 	// it false in production configurations.
 	HeadRestart bool
+	// Keys is the number of distinct keys the structure may hold, 0 when
+	// unknown. Structures whose layout depends on their load size
+	// themselves from it (the hash map's bucket count); the rest ignore
+	// it. The store sets it to each shard's slice of the key range.
+	Keys int
 	// OnGuardTrip, when non-nil, receives every step-budget exhaustion
 	// right after it is counted — the observability plane's flight
 	// recorder hook. Called on the tripping operation's goroutine; must

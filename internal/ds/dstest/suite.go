@@ -32,13 +32,17 @@ func suiteEnv(t *testing.T, scheme, structure string, n int) (*Env, registry.Inf
 
 // RunSetSuite runs the full conformance suite for a set structure across
 // every applicable scheme.
-func RunSetSuite(t *testing.T, structure string) {
+func RunSetSuite(t *testing.T, structure string) { RunSetSuiteOpts(t, structure, ds.Options{}) }
+
+// RunSetSuiteOpts is RunSetSuite with every instance built from opt (for
+// example a key-space hint that sizes a hash map's buckets).
+func RunSetSuiteOpts(t *testing.T, structure string, opt ds.Options) {
 	for _, scheme := range schemesFor(structure) {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
 			t.Run("sequential", func(t *testing.T) {
 				env, info := suiteEnv(t, scheme, structure, 1)
-				set, err := info.NewSet(env.S, ds.Options{})
+				set, err := info.NewSet(env.S, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -47,7 +51,7 @@ func RunSetSuite(t *testing.T, structure string) {
 			})
 			t.Run("linearizable", func(t *testing.T) {
 				env, info := suiteEnv(t, scheme, structure, 4)
-				set, err := info.NewSet(env.S, ds.Options{})
+				set, err := info.NewSet(env.S, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -56,7 +60,7 @@ func RunSetSuite(t *testing.T, structure string) {
 			})
 			t.Run("churn", func(t *testing.T) {
 				env, info := suiteEnv(t, scheme, structure, 4)
-				set, err := info.NewSet(env.S, ds.Options{})
+				set, err := info.NewSet(env.S, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,12 +69,12 @@ func RunSetSuite(t *testing.T, structure string) {
 			})
 			t.Run("batch", func(t *testing.T) {
 				envA, info := suiteEnv(t, scheme, structure, 1)
-				a, err := info.NewSet(envA.S, ds.Options{})
+				a, err := info.NewSet(envA.S, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				envB, _ := suiteEnv(t, scheme, structure, 1)
-				b, err := info.NewSet(envB.S, ds.Options{})
+				b, err := info.NewSet(envB.S, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,7 +86,7 @@ func RunSetSuite(t *testing.T, structure string) {
 			})
 			t.Run("batch-concurrent", func(t *testing.T) {
 				env, info := suiteEnv(t, scheme, structure, 4)
-				set, err := info.NewSet(env.S, ds.Options{})
+				set, err := info.NewSet(env.S, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -91,7 +95,7 @@ func RunSetSuite(t *testing.T, structure string) {
 			})
 			t.Run("iterate", func(t *testing.T) {
 				env, info := suiteEnv(t, scheme, structure, 4)
-				set, err := info.NewSet(env.S, ds.Options{})
+				set, err := info.NewSet(env.S, opt)
 				if err != nil {
 					t.Fatal(err)
 				}

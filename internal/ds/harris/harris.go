@@ -34,12 +34,22 @@ var _ ds.Set = (*List)(nil)
 // New builds an empty list over scheme s. The two sentinels are allocated
 // on behalf of thread 0.
 func New(s smr.Scheme, opt ds.Options) (*List, error) {
-	l := &List{Instr: ds.Instr{Opt: opt, A: s.Heap()}, s: s}
-	ds.RegisterLinks(s, []int{ds.WNext})
-	var err error
-	if l.tail, err = ds.NewSentinel(s, 0, ds.KeyMax); err != nil {
+	tail, err := ds.NewSentinel(s, 0, ds.KeyMax)
+	if err != nil {
 		return nil, err
 	}
+	return NewOver(s, opt, tail)
+}
+
+// NewOver builds an empty list whose head sentinel links to an existing
+// tail sentinel (key ds.KeyMax, allocated with ds.NewSentinel). The tail
+// is only ever read and CASed *to*, never marked, written or retired, so
+// any number of lists may end in one tail: the hash map's buckets share
+// theirs and pay one sentinel per bucket instead of two.
+func NewOver(s smr.Scheme, opt ds.Options, tail mem.Ref) (*List, error) {
+	l := &List{Instr: ds.Instr{Opt: opt, A: s.Heap()}, s: s, tail: tail}
+	ds.RegisterLinks(s, []int{ds.WNext})
+	var err error
 	if l.head, err = ds.NewSentinel(s, 0, ds.KeyMin); err != nil {
 		return nil, err
 	}
@@ -212,7 +222,7 @@ func (l *List) find(tid int, key int64, cu *cursor) (pred, curr mem.Ref, err err
 		}
 		if predNext != curr {
 			// Unlink the marked run between pred and curr.
-			if !l.s.Reserve(tid, pred, curr) {
+			if !l.s.Reserve(tid, smr.Reservation{pred, curr}) {
 				rewind()
 				continue
 			}
@@ -307,7 +317,7 @@ func (l *List) insertAt(tid int, key int64, cu *cursor) (bool, error) {
 		if !l.s.WritePtr(tid, n, ds.WNext, curr) { // paper line 36
 			continue
 		}
-		if !l.s.Reserve(tid, pred, curr) {
+		if !l.s.Reserve(tid, smr.Reservation{pred, curr}) {
 			continue
 		}
 		l.Phase(tid, ds.PhaseWrite)
@@ -356,7 +366,7 @@ func (l *List) deleteAt(tid int, key int64, cu *cursor) (bool, error) {
 			continue // someone else is deleting curr; re-find
 		}
 		succ := cn
-		if !l.s.Reserve(tid, pred, curr, succ.WithoutMark()) {
+		if !l.s.Reserve(tid, smr.Reservation{pred, curr, succ.WithoutMark()}) {
 			continue
 		}
 		l.Phase(tid, ds.PhaseWrite)

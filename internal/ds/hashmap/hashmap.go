@@ -1,5 +1,7 @@
-// Package hashmap implements a fixed-size lock-free hash set: an array of
-// buckets, each an independent Harris or Michael linked-list.
+// Package hashmap implements a lock-free hash set: a power-of-two array
+// of buckets, each an independent Harris or Michael linked-list, sized at
+// build time to the key space it will hold (Michael, SPAA 2002, assumes a
+// table sized to its load). The bucket count is fixed once built.
 //
 // The map exists for workload realism in the throughput experiments
 // (short chains, high locality, the setting the cited schemes were
@@ -11,6 +13,7 @@ package hashmap
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/ds"
 	"repro/internal/ds/harris"
@@ -18,37 +21,57 @@ import (
 	"repro/internal/smr"
 )
 
-// Map is a fixed-bucket-count lock-free hash set.
+// MinBuckets is the bucket count of a map built without a key-space hint
+// (ds.Options.Keys == 0) and the floor of a sized one.
+const MinBuckets = 16
+
+// Map is a lock-free hash set with a power-of-two bucket count.
 type Map struct {
 	name    string
 	s       smr.Scheme
+	shift   uint // 64 - log2(len(buckets)): the hash's top bits index a bucket
 	buckets []ds.Set
 }
 
 var _ ds.Set = (*Map)(nil)
 
-// New builds a hash set with nbuckets buckets over scheme s. kind selects
-// the bucket implementation: "harris" or "michael".
-func New(s smr.Scheme, opt ds.Options, nbuckets int, kind string) (*Map, error) {
-	if nbuckets <= 0 {
-		nbuckets = 16
+// Buckets returns the bucket count New picks: the largest power of two
+// <= keys/4, at least MinBuckets. A mixed insert/delete load keeps a set
+// about half full, so that is ~2 keys per bucket chain. The count is
+// also capped at slots/8 (slots is the heap size): sentinels never take
+// more than an eighth of the heap, so every heap that hosted the
+// hint-less 16 buckets hosts a sized map too.
+func Buckets(keys, slots int) int {
+	n := MinBuckets
+	for 2*n <= keys/4 && 2*n <= slots/8 {
+		n *= 2
 	}
-	m := &Map{name: "hashmap-" + kind, s: s, buckets: make([]ds.Set, nbuckets)}
+	return n
+}
+
+// New builds a hash set over scheme s with Buckets(opt.Keys, heap slots)
+// buckets. kind selects the bucket implementation: "harris" or
+// "michael". All buckets end in one shared tail sentinel, so the map
+// costs buckets+1 sentinel slots.
+func New(s smr.Scheme, opt ds.Options, kind string) (*Map, error) {
+	if kind != "harris" && kind != "michael" {
+		return nil, fmt.Errorf("hashmap: unknown bucket kind %q", kind)
+	}
+	tail, err := ds.NewSentinel(s, 0, ds.KeyMax)
+	if err != nil {
+		return nil, err
+	}
+	log := bits.Len(uint(Buckets(opt.Keys, s.Heap().Config().Slots))) - 1
+	m := &Map{name: "hashmap-" + kind, s: s, shift: uint(64 - log), buckets: make([]ds.Set, 1<<log)}
 	for i := range m.buckets {
-		var b ds.Set
-		var err error
-		switch kind {
-		case "harris":
-			b, err = harris.New(s, opt)
-		case "michael":
-			b, err = michael.New(s, opt)
-		default:
-			return nil, fmt.Errorf("hashmap: unknown bucket kind %q", kind)
+		if kind == "harris" {
+			m.buckets[i], err = harris.NewOver(s, opt, tail)
+		} else {
+			m.buckets[i], err = michael.NewOver(s, opt, tail)
 		}
 		if err != nil {
 			return nil, err
 		}
-		m.buckets[i] = b
 	}
 	return m, nil
 }
@@ -56,11 +79,19 @@ func New(s smr.Scheme, opt ds.Options, nbuckets int, kind string) (*Map, error) 
 // Name implements ds.Set.
 func (m *Map) Name() string { return m.name }
 
-// bucket hashes key to a bucket (Fibonacci hashing).
-func (m *Map) bucket(key int64) ds.Set {
-	h := uint64(key) * 0x9e3779b97f4a7c15
-	return m.buckets[h%uint64(len(m.buckets))]
+// Buckets reports the map's bucket count.
+func (m *Map) Buckets() int { return len(m.buckets) }
+
+// index hashes key to a bucket index by Fibonacci hashing: the top
+// log2(buckets) bits of key × 2^64/φ. Taking the product modulo a power
+// of two instead would keep only the key's low bits, piling every key of
+// a stride-16 run into one bucket.
+func (m *Map) index(key int64) int {
+	return int(uint64(key) * 0x9e3779b97f4a7c15 >> m.shift)
 }
+
+// bucket returns key's bucket.
+func (m *Map) bucket(key int64) ds.Set { return m.buckets[m.index(key)] }
 
 // Insert implements ds.Set.
 func (m *Map) Insert(tid int, key int64) (bool, error) { return m.bucket(key).Insert(tid, key) }

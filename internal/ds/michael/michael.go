@@ -29,12 +29,22 @@ var _ ds.Set = (*List)(nil)
 
 // New builds an empty list over scheme s.
 func New(s smr.Scheme, opt ds.Options) (*List, error) {
-	l := &List{Instr: ds.Instr{Opt: opt, A: s.Heap()}, s: s}
-	ds.RegisterLinks(s, []int{ds.WNext})
-	var err error
-	if l.tail, err = ds.NewSentinel(s, 0, ds.KeyMax); err != nil {
+	tail, err := ds.NewSentinel(s, 0, ds.KeyMax)
+	if err != nil {
 		return nil, err
 	}
+	return NewOver(s, opt, tail)
+}
+
+// NewOver builds an empty list whose head sentinel links to an existing
+// tail sentinel (key ds.KeyMax, allocated with ds.NewSentinel). The tail
+// is only ever read and CASed *to*, never marked, written or retired, so
+// any number of lists may end in one tail: the hash map's buckets share
+// theirs and pay one sentinel per bucket instead of two.
+func NewOver(s smr.Scheme, opt ds.Options, tail mem.Ref) (*List, error) {
+	l := &List{Instr: ds.Instr{Opt: opt, A: s.Heap()}, s: s, tail: tail}
+	ds.RegisterLinks(s, []int{ds.WNext})
+	var err error
 	if l.head, err = ds.NewSentinel(s, 0, ds.KeyMin); err != nil {
 		return nil, err
 	}
@@ -148,7 +158,7 @@ retry:
 			}
 			if cn.Marked() {
 				// Unlink this single marked node before proceeding.
-				if !l.s.Reserve(tid, pred, curr) {
+				if !l.s.Reserve(tid, smr.Reservation{pred, curr}) {
 					rewind()
 					continue retry
 				}
@@ -251,7 +261,7 @@ func (l *List) insertAt(tid int, key int64, cu *cursor) (bool, error) {
 		if !l.s.WritePtr(tid, n, ds.WNext, curr) {
 			continue
 		}
-		if !l.s.Reserve(tid, pred, curr) {
+		if !l.s.Reserve(tid, smr.Reservation{pred, curr}) {
 			continue
 		}
 		l.Phase(tid, ds.PhaseWrite)
@@ -297,7 +307,7 @@ func (l *List) deleteAt(tid int, key int64, cu *cursor) (bool, error) {
 			continue
 		}
 		succ := cn
-		if !l.s.Reserve(tid, pred, curr, succ.WithoutMark()) {
+		if !l.s.Reserve(tid, smr.Reservation{pred, curr, succ.WithoutMark()}) {
 			continue
 		}
 		l.Phase(tid, ds.PhaseWrite)
@@ -421,7 +431,7 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 				break walk
 			}
 			if cn.Marked() {
-				if !l.s.Reserve(tid, pred, curr) {
+				if !l.s.Reserve(tid, smr.Reservation{pred, curr}) {
 					restarts++
 					break walk
 				}

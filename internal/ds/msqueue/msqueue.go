@@ -87,7 +87,7 @@ func (q *Queue) Enqueue(tid int, v int64) error {
 			q.s.CASPtr(tid, q.anchor, wTail, tail, next)
 			continue
 		}
-		if !q.s.Reserve(tid, tail) {
+		if !q.s.Reserve(tid, smr.Reservation{tail}) {
 			continue
 		}
 		q.Phase(tid, ds.PhaseWrite)
@@ -140,7 +140,7 @@ func (q *Queue) Dequeue(tid int) (int64, bool, error) {
 		if !ok {
 			continue
 		}
-		if !q.s.Reserve(tid, head, next) {
+		if !q.s.Reserve(tid, smr.Reservation{head, next}) {
 			continue
 		}
 		q.Phase(tid, ds.PhaseWrite)

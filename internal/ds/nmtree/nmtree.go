@@ -257,7 +257,7 @@ func (t *Tree) cleanup(tid int, key int64, r *seekRec) (done bool, ok bool) {
 	}
 	// The TAG and the splice both write: reserve their nodes first, so a
 	// concurrent reclaimer either sees them reserved or neutralizes us.
-	if !t.s.Reserve(tid, r.ancestor, r.parent) {
+	if !t.s.Reserve(tid, smr.Reservation{r.ancestor, r.parent}) {
 		return false, false
 	}
 	t.Phase(tid, ds.PhaseWrite)
@@ -456,7 +456,7 @@ func (t *Tree) insertAt(tid int, key int64) (bool, error) {
 			continue
 		}
 		leafWord := childWord(key, pkey)
-		if !t.s.Reserve(tid, r.parent, r.leaf) {
+		if !t.s.Reserve(tid, smr.Reservation{r.parent, r.leaf}) {
 			continue
 		}
 		t.Phase(tid, ds.PhaseWrite)
@@ -523,7 +523,7 @@ func (t *Tree) deleteAt(tid int, key int64) (bool, error) {
 				continue
 			}
 			leafWord := childWord(key, pkey)
-			if !t.s.Reserve(tid, r.parent, r.leaf) {
+			if !t.s.Reserve(tid, smr.Reservation{r.parent, r.leaf}) {
 				continue
 			}
 			t.Phase(tid, ds.PhaseWrite)

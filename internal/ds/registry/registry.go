@@ -81,11 +81,11 @@ var infos = map[string]Info{
 	},
 	"hashmap-harris": {
 		Name: "hashmap-harris", Kind: KindSet, PayloadWords: 2, TraversesRetired: true, Partitioned: true,
-		NewSet: func(s smr.Scheme, opt ds.Options) (ds.Set, error) { return hashmap.New(s, opt, 16, "harris") },
+		NewSet: func(s smr.Scheme, opt ds.Options) (ds.Set, error) { return hashmap.New(s, opt, "harris") },
 	},
 	"hashmap-michael": {
 		Name: "hashmap-michael", Kind: KindSet, PayloadWords: 2, Partitioned: true,
-		NewSet: func(s smr.Scheme, opt ds.Options) (ds.Set, error) { return hashmap.New(s, opt, 16, "michael") },
+		NewSet: func(s smr.Scheme, opt ds.Options) (ds.Set, error) { return hashmap.New(s, opt, "michael") },
 	},
 	"nmtree": {
 		Name: "nmtree", Kind: KindSet, PayloadWords: nmtree.PayloadWords, TraversesRetired: true,

@@ -202,7 +202,7 @@ retry:
 					// The snip is a write: reserve its window first, so a
 					// concurrent reclaimer either sees pred, curr and succ
 					// reserved or neutralizes this traversal (NBR, PEBR).
-					if !l.s.Reserve(tid, pred, curr, succ.WithoutMark()) {
+					if !l.s.Reserve(tid, smr.Reservation{pred, curr, succ.WithoutMark()}) {
 						return false, stRestart, steps, restarts
 					}
 					swapped, ok := l.s.CASPtr(tid, pred, WLevel0+lv, curr, succ.WithoutMark())
@@ -335,7 +335,7 @@ func (l *List) insertAt(tid int, key int64) (bool, error) {
 				return false, ds.ErrCorrupted // n is local; cannot fail for a correct scheme
 			}
 		}
-		if !l.s.Reserve(tid, preds[0], succs[0]) {
+		if !l.s.Reserve(tid, smr.Reservation{preds[0], succs[0]}) {
 			continue
 		}
 		l.Phase(tid, ds.PhaseWrite)
@@ -391,7 +391,7 @@ func (l *List) linkUpper(tid int, key int64, n mem.Ref, height int, preds, succs
 			}
 			// Reserve the level's window before its first write (n's own
 			// level link, then pred's).
-			if !l.s.Reserve(tid, preds[lv], n, succs[lv]) {
+			if !l.s.Reserve(tid, smr.Reservation{preds[lv], n, succs[lv]}) {
 				return
 			}
 			l.Phase(tid, ds.PhaseWrite)
@@ -470,7 +470,7 @@ retry:
 		if height < 1 || height > MaxHeight {
 			return false, ds.ErrCorrupted
 		}
-		if !l.s.Reserve(tid, preds[0], victim, succs[0]) {
+		if !l.s.Reserve(tid, smr.Reservation{preds[0], victim, succs[0]}) {
 			continue
 		}
 		l.Phase(tid, ds.PhaseWrite)

@@ -67,7 +67,7 @@ func (st *Stack) Push(tid int, v int64) error {
 		if !st.s.WritePtr(tid, n, wNext, top) {
 			continue
 		}
-		if !st.s.Reserve(tid) {
+		if !st.s.Reserve(tid, smr.Reservation{}) {
 			continue
 		}
 		st.Phase(tid, ds.PhaseWrite)
@@ -101,7 +101,7 @@ func (st *Stack) Pop(tid int) (int64, bool, error) {
 		if !ok {
 			continue
 		}
-		if !st.s.Reserve(tid, top) {
+		if !st.s.Reserve(tid, smr.Reservation{top}) {
 			continue
 		}
 		st.Phase(tid, ds.PhaseWrite)

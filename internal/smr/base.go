@@ -1,6 +1,10 @@
 package smr
 
-import "repro/internal/mem"
+import (
+	"slices"
+
+	"repro/internal/mem"
+)
 
 type pad [56]byte
 
@@ -10,6 +14,31 @@ type pad [56]byte
 type RetireList struct {
 	Refs []mem.Ref
 	_    pad
+}
+
+// RefSet is a reusable sorted snapshot of published references (hazard
+// pointers, reservations) that a reclamation scan tests its retire list
+// against. Schemes keep one per thread: the backing array survives
+// across scans, so once it has grown to the snapshot's size a scan
+// allocates nothing.
+type RefSet struct {
+	refs []mem.Ref
+	_    pad
+}
+
+// Reset empties the set for a new snapshot.
+func (s *RefSet) Reset() { s.refs = s.refs[:0] }
+
+// Add records one published reference.
+func (s *RefSet) Add(r mem.Ref) { s.refs = append(s.refs, r) }
+
+// Seal sorts the snapshot; call it after the last Add and before Has.
+func (s *RefSet) Seal() { slices.Sort(s.refs) }
+
+// Has reports whether r was added (binary search of the sealed set).
+func (s *RefSet) Has(r mem.Ref) bool {
+	_, ok := slices.BinarySearch(s.refs, r)
+	return ok
 }
 
 // Observer receives scheme-level reclamation events. The observability

@@ -179,4 +179,4 @@ func (e *EBR) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
 }
 
 // Reserve implements smr.Scheme; EBR has no reservations.
-func (e *EBR) Reserve(tid int, refs ...mem.Ref) bool { return true }
+func (e *EBR) Reserve(tid int, refs smr.Reservation) bool { return true }

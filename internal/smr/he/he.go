@@ -201,4 +201,4 @@ func (h *HE) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
 }
 
 // Reserve implements smr.Scheme.
-func (h *HE) Reserve(tid int, refs ...mem.Ref) bool { return true }
+func (h *HE) Reserve(tid int, refs smr.Reservation) bool { return true }

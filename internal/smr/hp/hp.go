@@ -33,7 +33,8 @@ const K = 8
 // HP is the hazard-pointers scheme.
 type HP struct {
 	smr.Base
-	hazards []hazard // N*K, row-major by thread
+	hazards   []hazard     // N*K, row-major by thread
+	protected []smr.RefSet // per-thread scan scratch
 }
 
 var _ smr.Scheme = (*HP)(nil)
@@ -41,8 +42,9 @@ var _ smr.Scheme = (*HP)(nil)
 // New builds an HP instance over arena a for n threads.
 func New(a *mem.Arena, n, threshold int) *HP {
 	return &HP{
-		Base:    smr.NewBase(a, n, threshold),
-		hazards: make([]hazard, n*K),
+		Base:      smr.NewBase(a, n, threshold),
+		hazards:   make([]hazard, n*K),
+		protected: make([]smr.RefSet, n),
 	}
 }
 
@@ -84,19 +86,22 @@ func (h *HP) Retire(tid int, r mem.Ref) {
 
 // scan reclaims every node in tid's retire list that no hazard slot
 // protects. At most N*K nodes survive a scan, which is the robustness
-// bound of the scheme.
+// bound of the scheme. The hazard snapshot goes into tid's reusable
+// sorted scratch, so a steady-state scan allocates nothing.
 func (h *HP) scan(tid int) {
-	protected := make(map[mem.Ref]struct{}, len(h.hazards))
+	protected := &h.protected[tid]
+	protected.Reset()
 	for i := range h.hazards {
 		if v := h.hazards[i].ref.Load(); v != 0 {
-			protected[mem.Ref(v)] = struct{}{}
+			protected.Add(mem.Ref(v))
 		}
 	}
+	protected.Seal()
 	l := &h.Lists[tid].Refs
 	scanned := len(*l)
 	kept := (*l)[:0]
 	for _, r := range *l {
-		if _, ok := protected[r.WithoutMark()]; ok {
+		if protected.Has(r.WithoutMark()) {
 			kept = append(kept, r)
 		} else {
 			_ = h.Arena.Reclaim(tid, r)
@@ -168,4 +173,4 @@ func (h *HP) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
 }
 
 // Reserve implements smr.Scheme; HP's protection lives in ReadPtr.
-func (h *HP) Reserve(tid int, refs ...mem.Ref) bool { return true }
+func (h *HP) Reserve(tid int, refs smr.Reservation) bool { return true }

@@ -216,4 +216,4 @@ func (i *IBR) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
 }
 
 // Reserve implements smr.Scheme.
-func (i *IBR) Reserve(tid int, refs ...mem.Ref) bool { return true }
+func (i *IBR) Reserve(tid int, refs smr.Reservation) bool { return true }

@@ -43,8 +43,9 @@ type reservation struct {
 // NBR is the neutralization-based reclamation scheme.
 type NBR struct {
 	smr.Base
-	flags []flag
-	resv  []reservation
+	flags    []flag
+	resv     []reservation
+	reserved []smr.RefSet // per-thread scan scratch
 }
 
 var _ smr.Scheme = (*NBR)(nil)
@@ -52,9 +53,10 @@ var _ smr.Scheme = (*NBR)(nil)
 // New builds an NBR instance over arena a for n threads.
 func New(a *mem.Arena, n, threshold int) *NBR {
 	return &NBR{
-		Base:  smr.NewBase(a, n, threshold),
-		flags: make([]flag, n),
-		resv:  make([]reservation, n),
+		Base:     smr.NewBase(a, n, threshold),
+		flags:    make([]flag, n),
+		resv:     make([]reservation, n),
+		reserved: make([]smr.RefSet, n),
 	}
 }
 
@@ -132,19 +134,21 @@ func (s *NBR) scan(tid int) {
 			s.flags[t].raised.Store(true)
 		}
 	}
-	reserved := make(map[mem.Ref]struct{}, s.N*K)
+	reserved := &s.reserved[tid]
+	reserved.Reset()
 	for t := range s.resv {
 		for i := 0; i < K; i++ {
 			if v := s.resv[t].refs[i].Load(); v != 0 {
-				reserved[mem.Ref(v).WithoutMark()] = struct{}{}
+				reserved.Add(mem.Ref(v).WithoutMark())
 			}
 		}
 	}
+	reserved.Seal()
 	l := &s.Lists[tid].Refs
 	scanned := len(*l)
 	kept := (*l)[:0]
 	for _, r := range *l {
-		if _, ok := reserved[r.WithoutMark()]; ok {
+		if reserved.Has(r.WithoutMark()) {
 			kept = append(kept, r)
 		} else {
 			_ = s.Arena.Reclaim(tid, r)
@@ -183,10 +187,8 @@ func (s *NBR) ReadPtr(tid, idx int, src mem.Ref, w int) (mem.Ref, bool) {
 // Reserve publishes the references the write phase will access, then
 // polls the flag: if a neutralization arrived first, the reservations may
 // have been missed by a concurrent scan and the operation must roll back.
-func (s *NBR) Reserve(tid int, refs ...mem.Ref) bool {
-	if len(refs) > K {
-		refs = refs[:K]
-	}
+// NilRef padding entries store 0, the same as a cleared slot.
+func (s *NBR) Reserve(tid int, refs smr.Reservation) bool {
 	for i, r := range refs {
 		s.resv[tid].refs[i].Store(uint64(r.WithoutMark()))
 	}

@@ -58,7 +58,7 @@ func TestReservationBlocksReclamation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.BeginOp(0)
-	if !s.Reserve(0, victim) {
+	if !s.Reserve(0, smr.Reservation{victim}) {
 		t.Fatal("first reservation must succeed (no pending signal)")
 	}
 

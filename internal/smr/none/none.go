@@ -84,4 +84,4 @@ func (s *None) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) 
 }
 
 // Reserve implements smr.Scheme.
-func (s *None) Reserve(tid int, refs ...mem.Ref) bool { return true }
+func (s *None) Reserve(tid int, refs smr.Reservation) bool { return true }

@@ -246,6 +246,6 @@ func (p *PEBR) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) 
 
 // Reserve implements smr.Scheme; PEBR has no reservations, but polls the
 // ejection flag at the phase boundary.
-func (p *PEBR) Reserve(tid int, refs ...mem.Ref) bool {
+func (p *PEBR) Reserve(tid int, refs smr.Reservation) bool {
 	return !p.ejected(tid)
 }

@@ -174,4 +174,4 @@ func (q *QSBR) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
 }
 
 // Reserve implements smr.Scheme.
-func (q *QSBR) Reserve(tid int, refs ...mem.Ref) bool { return true }
+func (q *QSBR) Reserve(tid int, refs smr.Reservation) bool { return true }

@@ -268,4 +268,4 @@ func (c *RC) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) {
 }
 
 // Reserve implements smr.Scheme.
-func (c *RC) Reserve(tid int, refs ...mem.Ref) bool { return true }
+func (c *RC) Reserve(tid int, refs smr.Reservation) bool { return true }

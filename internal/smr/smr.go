@@ -205,12 +205,20 @@ type Scheme interface {
 	CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (swapped bool, ok bool)
 	// Reserve publishes the references the upcoming write phase will
 	// dereference.
-	Reserve(tid int, refs ...mem.Ref) (ok bool)
+	Reserve(tid int, refs Reservation) (ok bool)
 	// Flush makes the scheme attempt reclamation of thread tid's retire
 	// list immediately (used by harnesses between rounds; not part of
 	// the paper's API surface).
 	Flush(tid int)
 }
+
+// Reservation is Reserve's argument: the node references a write phase
+// will dereference, unused entries NilRef. It is a fixed-size array
+// passed by value rather than a variadic slice, because a variadic
+// argument to an interface method escapes to the heap and would
+// allocate on every write phase. Three entries cover every structure's
+// widest window (pred, curr, succ).
+type Reservation [3]mem.Ref
 
 // Meta word layout shared by the schemes (each arena serves one scheme, so
 // words can be reused across schemes without collision).

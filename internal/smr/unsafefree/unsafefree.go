@@ -87,4 +87,4 @@ func (s *Free) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) 
 }
 
 // Reserve implements smr.Scheme.
-func (s *Free) Reserve(tid int, refs ...mem.Ref) bool { return true }
+func (s *Free) Reserve(tid int, refs smr.Reservation) bool { return true }

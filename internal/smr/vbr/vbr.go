@@ -143,4 +143,4 @@ func (v *VBR) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) {
 }
 
 // Reserve implements smr.Scheme; VBR needs no reservations.
-func (v *VBR) Reserve(tid int, refs ...mem.Ref) bool { return true }
+func (v *VBR) Reserve(tid int, refs smr.Reservation) bool { return true }

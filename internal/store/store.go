@@ -261,7 +261,9 @@ func newShard(id int, spec ShardSpec, cfg Config) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := ds.Options{Gate: spec.Gate, HeadRestart: spec.HeadRestart}
+	// Keys is the shard's slice of the key range: a partitioned set (the
+	// hash map) sizes its buckets to it.
+	opts := ds.Options{Gate: spec.Gate, HeadRestart: spec.HeadRestart, Keys: cfg.KeyRange / len(cfg.Shards)}
 	if r := cfg.Recorder; r != nil {
 		// Guard trips and reclamation scans flow into the flight recorder
 		// tagged with this slot id. Both hooks are installed before the
